@@ -91,6 +91,7 @@ def cmd_law(args) -> int:
     V = _potential(args)
     out = _out_dir(args)
     eq = solve_support(V)
+    a_c = None
     if args.a_critical:
         a_c = transition.critical_a(eq)
         alpha = args.alpha or 0.0
@@ -99,7 +100,7 @@ def cmd_law(args) -> int:
         raise InputError("law requires --a or --a-critical")
     else:
         a = args.a
-    law = limitlaws.predict_law(eq, a, args.n, args.j)
+    law = limitlaws.predict_law(eq, a, args.n, args.j, a_c=a_c)
     _write_manifest(out, "law", args)
     with open(out / "law.json", "w") as fh:
         json.dump(law.to_json(), fh, indent=2)
@@ -124,6 +125,8 @@ def cmd_law(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    if args.n > finitemodel.MAX_N:
+        raise InputError(f"gap: n = {args.n} exceeds the determinant cap n <= {finitemodel.MAX_N}")
     V = _potential(args)
     out = _out_dir(args)
     eq = solve_support(V)
@@ -151,6 +154,9 @@ def cmd_gap(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    if args.method == "mcmc" and args.n > sampler.MCMC_MAX_N:
+        raise InputError(f"montecarlo: n = {args.n} exceeds the Metropolis cap "
+                         f"n <= {sampler.MCMC_MAX_N}")
     V = _potential(args)
     out = _out_dir(args)
     a = args.a if args.a is not None else 0.0

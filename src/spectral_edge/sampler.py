@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 RNG_FAMILY = "philox"
+MCMC_MAX_N = 64         # each Metropolis sweep costs O(n^4)
 
 
 def thread_count() -> int:
@@ -188,8 +189,8 @@ def mcmc_sample(V: Potential, n: int, a: float, cfg: McmcConfig) -> EdgeSample:
     is frozen afterwards, preserving detailed balance for the retained
     sweeps.  One step = one full sweep over the coordinates.
     """
-    if n > 64:
-        raise ValueError("Metropolis sampling capped at n = 64")
+    if n > MCMC_MAX_N:
+        raise ValueError(f"Metropolis sampling capped at n = {MCMC_MAX_N}")
     rng = _rng(cfg.seed, stream=1)
     lams = np.sort(rng.normal(scale=0.7, size=n))
     logp = log_density_rank1(lams, V, n, a)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .equilibrium import EquilibriumData
 from .potential import derivative_or_zero
@@ -24,6 +24,7 @@ from .potential import derivative_or_zero
 __all__ = [
     "G_fn",
     "H_fn",
+    "Scan",
     "TransitionProfile",
     "build_profile",
     "c_of_a",
@@ -31,6 +32,7 @@ __all__ = [
     "fluct_scale",
     "in_A_V",
     "maximizer_set",
+    "scan",
     "scan_upper_bound",
     "secondary_criticals",
     "x0_of",
@@ -68,20 +70,20 @@ def c_of_a(eq: EquilibriumData, a: float) -> float:
 
 def G_fn(eq: EquilibriumData, a: float, x) -> float:
     """Tilted log-potential g - V + a*x for x >= the upper edge."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    xv = np.asarray(x, dtype=float)
     if np.any(xv < eq.a1 - 1e-12):
         raise ValueError("G is defined on [edge, infinity)")
-    out = np.array([eq._g0(t) - eq.V.eval(t) + a * t for t in xv])
-    return float(out[0]) if np.isscalar(x) else out
+    out = eq.log_potential(xv) - eq.V.eval(xv) + a * xv
+    return float(out) if np.isscalar(x) else out
 
 
 def H_fn(eq: EquilibriumData, a: float, x) -> float:
     """Linear tilt minus log-potential plus the variational constant, x >= edge."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    xv = np.asarray(x, dtype=float)
     if np.any(xv < eq.a1 - 1e-12):
         raise ValueError("H is defined on [edge, infinity)")
-    out = np.array([-eq._g0(t) + a * t + eq.ell for t in xv])
-    return float(out[0]) if np.isscalar(x) else out
+    out = -eq.log_potential(xv) + a * xv + eq.ell
+    return float(out) if np.isscalar(x) else out
 
 
 def scan_upper_bound(eq: EquilibriumData, a: float) -> float:
@@ -102,19 +104,51 @@ def scan_upper_bound(eq: EquilibriumData, a: float) -> float:
     raise OverflowError("could not certify a decreasing tail for G")
 
 
-def _local_maxima(eq: EquilibriumData, a: float, lo: float, hi: float, samples: int = 3000):
+@dataclass(frozen=True)
+class Scan:
+    """The G landscape at one tilt: c(a), H(c(a)) and the local maxima of G
+    right of c(a) as (x, G(x)) pairs in increasing x."""
+
+    c: float
+    h_c: float
+    maxima: tuple
+
+    def best(self) -> tuple[float, float]:
+        """The global maximum (x, G(x))."""
+        if not self.maxima:
+            raise ValueError("no interior maximizer of G found")
+        return max(self.maxima, key=lambda t: t[1])
+
+
+def scan(eq: EquilibriumData, a: float) -> Scan:
+    """c(a), H(c(a)) and every local maximum of G from c(a) to the certified tail."""
+    c = c_of_a(eq, a)
+    lo, hi = c + 1e-9, scan_upper_bound(eq, a)
+
+    def dG(x):
+        return eq.g_deriv(x, 1) - eq.V.eval(x, 1) + a
+
     # Linear grid over the scan window plus log-spaced points hugging the
     # left end, where near-critical maximizers sit arbitrarily close to the
     # H minimum.
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, 3000)
     near = lo + np.logspace(-9, math.log10(max(hi - lo, 1e-8)), 400)
     xs = np.unique(np.concatenate([xs, near[near < hi]]))
-    gs = np.array([eq._g0(t) - eq.V.eval(t) + a * t for t in xs])
-    out = []
-    for i in range(1, xs.size - 1):
+    gs = G_fn(eq, a, xs)
+    maxima = []
+    first = 1
+    edge_plus = np.nextafter(eq.a1, np.inf)
+    if c == eq.a1 and dG(edge_plus) > 0 and dG(xs[1]) < 0:
+        # G rises off the edge (G'(e+) = a - V'(e)/2 > 0) but already falls
+        # at the first interior grid point: the maximizer lies closer to the
+        # edge than the grid resolves, so take it as the root of G'.
+        x = brentq(dG, edge_plus, xs[1], xtol=1e-300)
+        maxima.append((x, G_fn(eq, a, x)))
+        first = 2
+    for i in range(first, xs.size - 1):
         if gs[i] > gs[i - 1] and gs[i] >= gs[i + 1]:
             res = minimize_scalar(
-                lambda t: -(eq._g0(t) - eq.V.eval(t) + a * t),
+                lambda t: -G_fn(eq, a, t),
                 bracket=(xs[i - 1], xs[i], xs[i + 1]),
                 options={"xtol": 1e-12},
             )
@@ -122,32 +156,25 @@ def _local_maxima(eq: EquilibriumData, a: float, lo: float, hi: float, samples: 
             # Brent localizes a smooth maximum only to sqrt(eps); polish with
             # Newton on the exact first derivative.
             for _ in range(3):
-                g1 = eq.g_deriv(x, 1) - eq.V.eval(x, 1) + a
                 g2 = eq.g_deriv(x, 2) - eq.V.eval(x, 2)
                 if g2 >= 0:
                     break
-                step = g1 / g2
+                step = dG(x) / g2
                 if not math.isfinite(step) or abs(step) > 0.5 * (hi - lo):
                     break
                 x -= step
             if not (lo < x < hi):
                 x = float(res.x)
-            out.append((x, float(eq._g0(x) - eq.V.eval(x) + a * x)))
+            maxima.append((x, G_fn(eq, a, x)))
     # Boundary maxima at the right scan edge would signal a horizon
     # problem; the decreasing-tail certificate prevents them.
-    return out
+    return Scan(c, H_fn(eq, a, c), tuple(maxima))
 
 
 def in_A_V(eq: EquilibriumData, a: float) -> bool:
     """Whether some G value right of the H minimum beats the H minimum."""
-    c = c_of_a(eq, a)
-    hc = H_fn(eq, a, c)
-    hi = scan_upper_bound(eq, a)
-    maxima = _local_maxima(eq, a, c + 1e-9, hi)
-    if not maxima:
-        return False
-    best = max(v for _, v in maxima)
-    return best > hc + 1e-12
+    s = scan(eq, a)
+    return bool(s.maxima) and s.best()[1] > s.h_c + 1e-12
 
 
 def critical_a(eq: EquilibriumData, a_lo: float = 1e-4, tol: float = 1e-8) -> float:
@@ -186,24 +213,15 @@ def _flatness_order(eq: EquilibriumData, a: float, x: float) -> int:
 
 def maximizer_set(eq: EquilibriumData, a: float, tie_tol: float = TIE_TOL):
     """Global maximizers of G right of the H minimum with their flatness orders."""
-    c = c_of_a(eq, a)
-    hi = scan_upper_bound(eq, a)
-    maxima = _local_maxima(eq, a, c + 1e-9, hi)
-    if not maxima:
-        raise ValueError("no interior maximizer of G found")
-    gmax = max(v for _, v in maxima)
-    winners = sorted(x for x, v in maxima if v >= gmax - tie_tol)
+    s = scan(eq, a)
+    gmax = s.best()[1]
+    winners = sorted(x for x, v in s.maxima if v >= gmax - tie_tol)
     return [(x, _flatness_order(eq, a, x)) for x in winners]
 
 
 def x0_of(eq: EquilibriumData, a: float) -> float:
     """Location of the global maximum of G right of the H minimum."""
-    c = c_of_a(eq, a)
-    hi = scan_upper_bound(eq, a)
-    maxima = _local_maxima(eq, a, c + 1e-9, hi)
-    if not maxima:
-        raise ValueError("no interior maximizer of G found")
-    return max(maxima, key=lambda t: t[1])[0]
+    return scan(eq, a).best()[0]
 
 
 def secondary_criticals(eq: EquilibriumData, a_lo: float, a_hi: float,

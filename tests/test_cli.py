@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spectral_edge import limitlaws, transition
 from spectral_edge.cli import main
 from spectral_edge.limitlaws import f0
 
@@ -65,6 +66,16 @@ class TestCriticalCommand:
         assert data["a_c"] < data["half_Vprime_e"]
 
 
+    def test_quartic_report(self, tmp_path):
+        # the range starts at a_c + 1e-4, where the maximizer sits ~1e-9
+        # right of the edge
+        out = tmp_path / "crit"
+        assert run(["critical", "--potential", "quartic", "--out", str(out)]) == 0
+        data = json.loads((out / "critical.json").read_text())
+        assert data["secondary"] == []
+        assert not data["a_c_below_half_Vprime_e"]
+
+
 class TestLawCommand:
     def test_supercritical_descriptor(self, tmp_path):
         out = tmp_path / "law"
@@ -95,6 +106,20 @@ class TestLawCommand:
             expect = f"{f0(float(t_str)):.17g}"
             assert v_str == expect
 
+    def test_a_critical_bisects_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = transition.critical_a
+
+        def counted(eq, *args, **kwargs):
+            calls.append(eq.V.label)
+            return real(eq, *args, **kwargs)
+
+        monkeypatch.setattr(transition, "critical_a", counted)
+        monkeypatch.setattr(limitlaws, "critical_a", counted)
+        assert run(["law", "--potential", "eynard(3,0.02)", "--a-critical", "--alpha", "2",
+                    "--n", "100", "--T-steps", "3", "--out", str(tmp_path / "law")]) == 0
+        assert len(calls) == 1
+
     def test_law_requires_spike(self, tmp_path):
         assert run(["law", "--potential", "gue", "--out", str(tmp_path / "x")]) == 2
 
@@ -115,6 +140,14 @@ class TestGapCommand:
                     "--out", str(out)]) == 0
         rows = json.loads((out / "gap.json").read_text())["rows"]
         assert rows[-1][2] > 0.999
+
+
+    def test_size_cap_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "gap"
+        assert run(["gap", "--potential", "gue", "--n", "200", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "gap" in err and "128" in err
+        assert not out.exists()
 
 
 class TestMonteCarloAndCompare:
@@ -171,6 +204,15 @@ class TestMonteCarloAndCompare:
         meta = json.loads((mc / "samples.json").read_text())
         assert meta["method"] == "mcmc"
         assert 0.1 <= meta["acceptance"] <= 0.9
+
+
+    def test_mcmc_size_cap_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "mcmc"
+        assert run(["montecarlo", "--potential", "gue", "--n", "80", "--method", "mcmc",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "montecarlo" in err and "64" in err
+        assert not out.exists()
 
 
 class TestManifest:

@@ -112,6 +112,22 @@ class TestGFunction:
             g_prime(eq_gue, 0.0)
 
 
+class TestLogPotential:
+    @pytest.mark.parametrize("potfix", ["eq_gue", "eq_quartic", "eq_eynard", "eq_shelf"])
+    def test_matches_scalar_rule(self, potfix, request):
+        eq = request.getfixturevalue(potfix)
+        xs = eq.a1 + np.concatenate([[0.0], np.logspace(-9, 1.5, 600)])
+        vec = eq.log_potential(xs)
+        assert vec.shape == xs.shape
+        assert np.max(np.abs(vec - [eq._g0(x) for x in xs])) <= 1e-13
+        assert eq.log_potential(float(xs[7])) == pytest.approx(vec[7], abs=1e-13)
+
+    def test_shape_preserved(self, eq_gue):
+        xs = np.linspace(2.5, 4.0, 6).reshape(2, 3)
+        assert eq_gue.log_potential(xs).shape == (2, 3)
+        assert isinstance(eq_gue.log_potential(3.0), float)
+
+
 class TestRobinConstant:
     def test_edge_and_interior_agree_gue(self, eq_gue):
         # oracle: 2 int log|x-s| psi(s) ds - V(x) at x = 0 by adaptive

@@ -13,6 +13,7 @@ from spectral_edge.transition import (
     fluct_scale,
     in_A_V,
     maximizer_set,
+    scan,
     scan_upper_bound,
     secondary_criticals,
     x0_of,
@@ -72,6 +73,18 @@ class TestComparisonFunctions:
             vals = H_fn(eq_gue, a, xs)
             assert np.all(np.diff(vals, 2) > 0)
 
+    def test_gue_closed_forms(self, eq_gue):
+        # semicircle log-potential right of the edge:
+        # g(x) = x^2/4 - x r/4 + log((x + r)/2) - 1/2, r = sqrt(x^2 - 4);
+        # ell = 2 g(2) - V(2) = -1
+        xs = 2.0 + np.concatenate([[0.0], np.logspace(-8, 1, 200)])
+        r = np.sqrt(xs * xs - 4.0)
+        g = xs ** 2 / 4.0 - xs * r / 4.0 + np.log(0.5 * (xs + r)) - 0.5
+        for a in (0.5, 1.0, 2.0):
+            assert np.max(np.abs(G_fn(eq_gue, a, xs) - (g - 0.5 * xs ** 2 + a * xs))) < 1e-12
+            assert np.max(np.abs(H_fn(eq_gue, a, xs) - (-g + a * xs - 1.0))) < 1e-12
+        assert isinstance(G_fn(eq_gue, 2.0, 2.5), float)
+
     def test_domain_guard(self, eq_gue):
         with pytest.raises(ValueError):
             G_fn(eq_gue, 1.0, 1.0)
@@ -93,6 +106,48 @@ class TestDetachmentSet:
         c = c_of_a(eq_gue, a)
         xs = np.linspace(c + 1e-6, scan_upper_bound(eq_gue, a), 300)
         assert np.max(G_fn(eq_gue, a, xs) - H_fn(eq_gue, a, c)) < 0
+
+
+class TestScan:
+    def test_gue_supercritical(self, eq_gue):
+        s = scan(eq_gue, 2.0)
+        assert s.c == 2.0
+        assert s.h_c == H_fn(eq_gue, 2.0, 2.0)
+        assert len(s.maxima) == 1
+        x, v = s.best()
+        assert abs(x - 2.5) < 1e-8
+        assert abs(v - G_fn(eq_gue, 2.0, x)) < 1e-14
+
+    def test_gue_subcritical(self, eq_gue):
+        # c(a) = a + 1/a and G falls right of it: no interior maximum
+        s = scan(eq_gue, 0.5)
+        assert abs(s.c - 2.5) < 1e-10
+        assert s.maxima == ()
+        with pytest.raises(ValueError):
+            s.best()
+
+    def test_readers_agree(self, eq_shelf):
+        for a in (1.5, 1.8):
+            s = scan(eq_shelf, a)
+            assert len(s.maxima) >= 2
+            assert x0_of(eq_shelf, a) == s.best()[0]
+            assert maximizer_set(eq_shelf, a)[0][0] == s.best()[0]
+            assert in_A_V(eq_shelf, a) == (s.best()[1] > s.h_c + 1e-12)
+
+    def test_quartic_maximizer_next_to_the_edge(self, eq_quartic):
+        # just above a_c = V'(e)/2 the maximizer sits ~1e-9 right of the
+        # edge, closer than the scan grid's first interior point; the root
+        # of G'(e + t) = a - (V' + h sqrt((e + t - b0) t)) / 2 locates it
+        e, b0 = eq_quartic.a1, eq_quartic.b0
+        a = critical_a(eq_quartic) + 1e-4
+        h = np.polynomial.Polynomial(eq_quartic.h_coeffs)
+
+        def dG(t):
+            return a - 0.5 * (eq_quartic.V.eval(e + t, 1) + h(e + t) * math.sqrt((e + t - b0) * t))
+
+        t_star = brentq(dG, 1e-15, 1e-6, xtol=1e-22)
+        assert abs(t_star - 1.097e-9) < 0.01 * 1.097e-9
+        assert abs((x0_of(eq_quartic, a) - e) - t_star) < 0.01 * t_star
 
 
 class TestCriticalValue:
@@ -153,6 +208,12 @@ class TestMaximizers:
 class TestSecondaryCriticals:
     def test_convex_has_none(self, eq_gue):
         assert secondary_criticals(eq_gue, 1.05, 5.0, grid=40) == []
+
+    def test_quartic_range_from_critical(self, eq_quartic):
+        # the critical subcommand's range, starting next to the edge
+        a_c = critical_a(eq_quartic)
+        half = 0.5 * eq_quartic.V.eval(eq_quartic.a1, 1)
+        assert secondary_criticals(eq_quartic, a_c + 1e-4, 3.0 * half) == []
 
     def test_shelf_potential_roundtrip(self, eq_shelf):
         # the two-shelf potential is built from a prescribed measure on [-2, 2]
