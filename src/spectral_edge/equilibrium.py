@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .potential import Potential
+from .specialfn import legendre_reference
 
 __all__ = [
     "EquilibriumData",
@@ -124,7 +124,7 @@ class EquilibriumData:
     _dens: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        t, w = leggauss(_THETA_NODES)
+        t, w = legendre_reference(_THETA_NODES)
         th = 0.5 * np.pi * (t + 1.0)
         self._theta_w = 0.5 * np.pi * w
         mid = 0.5 * (self.b0 + self.a1)

@@ -194,17 +194,17 @@ class SpikedKernel:
         expo = self.ortho.n * (self.a * xs - 0.5 * self.ortho.V.eval(xs))
         return np.exp(expo - self.log_shift)
 
-    def tilde_psi_at(self, x: np.ndarray) -> np.ndarray:
+    def tilde_psi_at(self, x: np.ndarray, px: np.ndarray) -> np.ndarray:
+        """Corrected function at x, given ``px = ortho.psi_at(x)``."""
         nj = self.ortho.n - self.j
         if self.a == 0.0:
-            return self.ortho.psi_at(x)[nj]
-        px = self.ortho.psi_at(x)
+            return px[nj]
         return (self.tilt_scaled(x) - self.gamma_scaled[:nj] @ px[:nj]) / self.gamma_scaled[nj]
 
     def kernel_matrix(self, x: np.ndarray) -> np.ndarray:
         nj = self.ortho.n - self.j
         px = self.ortho.psi_at(x)
-        return px[:nj].T @ px[:nj] + np.outer(self.tilde_psi_at(x), px[nj])
+        return px[:nj].T @ px[:nj] + np.outer(self.tilde_psi_at(x, px), px[nj])
 
 
 def build_spiked(ortho: OrthoSystem, a: float, j: int = 1) -> SpikedKernel:
@@ -245,10 +245,6 @@ def build_spiked(ortho: OrthoSystem, a: float, j: int = 1) -> SpikedKernel:
     return sk
 
 
-def _interval_rule(lo: float, hi: float, m: int) -> QuadratureRule:
-    return gauss_legendre(m, lo, hi)
-
-
 def gap_probability_raw(sk: SpikedKernel, intervals, m_nodes: int = 160,
                         factored: bool = True) -> float:
     """Unclamped gap determinant over a finite union of intervals.
@@ -268,14 +264,14 @@ def gap_probability_raw(sk: SpikedKernel, intervals, m_nodes: int = 160,
             segs.append((lo, hi))
     if not segs:
         return 1.0
-    rules = [_interval_rule(lo, hi, m_nodes) for lo, hi in segs]
+    rules = [gauss_legendre(m_nodes, lo, hi) for lo, hi in segs]
     xs = np.concatenate([r.nodes for r in rules])
     ws = np.concatenate([r.weights for r in rules])
     sw = np.sqrt(ws)
     nj = sk.ortho.n - sk.j
     px = sk.ortho.psi_at(xs)
     K = px[:nj].T @ px[:nj]
-    tpsi = sk.tilde_psi_at(xs)
+    tpsi = sk.tilde_psi_at(xs, px)
     ident = np.eye(xs.size)
     if factored:
         M = sw[:, None] * K * sw[None, :]

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .equilibrium import EquilibriumData
 from .potential import derivative_or_zero
-from .specialfn import airy_ai_pair, gen_gauss_cdf, normal_cdf
+from .specialfn import airy_ai_pair, gen_gauss_cdf, legendre_reference, normal_cdf
 from .transition import (
     TransitionProfile,
     build_profile,
@@ -46,17 +44,26 @@ _BASE_SPAN = 16.0
 # Left cutoff of the F0 and F1 CDFs: f0(-9) = 2.7e-27 and F1 <= F0 (f1 is f0
 # times 1 - <resolvent profile, Ai>, a factor in [0, 1]), so both CDFs are 0
 # to double precision below it.  Further left I - K is singular to working
-# precision and f1's resolvent solve fails (from T ~ -9.5).
+# precision and f1's resolvent solve fails (from T ~ -9.5).  f0 and f1
+# return 0 at and below it, and raise below the Nystrom window.
 CDF_FLOOR = -9.0
+_WINDOW_LEFT = -12.0
 
 
 class NystromConvergenceError(RuntimeError):
     """Doubling the node count moved the determinant by more than the tolerance."""
 
 
-@lru_cache(maxsize=64)
-def _leg(m: int):
-    return leggauss(m)
+def _check_window(T: float, m: int) -> None:
+    if m < 30:
+        raise ValueError("need at least 30 nodes")
+    if T < _WINDOW_LEFT:
+        raise ValueError("left endpoint below the supported window")
+
+
+def _check_alpha(alpha: float) -> None:
+    if abs(alpha) > 4.0:
+        raise ValueError("deformation parameter limited to |alpha| <= 4")
 
 
 def _span_for(alpha: float | None) -> float:
@@ -81,11 +88,8 @@ class AiryDiscretization:
     ai: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.m < 30:
-            raise ValueError("need at least 30 nodes")
-        if self.T < -12.0:
-            raise ValueError("left endpoint below the supported window")
-        x, w = _leg(self.m)
+        _check_window(self.T, self.m)
+        x, w = legendre_reference(self.m)
         self.nodes = self.T + 0.5 * self.L * (x + 1.0)
         self.weights = 0.5 * self.L * w
         self.sqrt_w = np.sqrt(self.weights)
@@ -104,6 +108,9 @@ class AiryDiscretization:
 
 def f0(T: float, m: int = DEFAULT_NODES, check_convergence: bool = False) -> float:
     """Probability that the soft-edge point process has no point above T."""
+    _check_window(T, m)
+    if T <= CDF_FLOOR:
+        return 0.0
     disc = AiryDiscretization(T, m)
     val = float(np.linalg.det(np.eye(m) - disc.kernel))
     if check_convergence:
@@ -116,7 +123,7 @@ def f0(T: float, m: int = DEFAULT_NODES, check_convergence: bool = False) -> flo
 def _c_alpha_right(xi: np.ndarray, alpha: float) -> np.ndarray:
     # exp(a^3/3 - a*xi) minus the Laplace-type integral of Ai(xi + t) e^{a t};
     # stable for alpha <= 1 where the two terms stay comparable.
-    t, w = _leg(360)
+    t, w = legendre_reference(360)
     tmax = 60.0
     tt = 0.5 * tmax * (t + 1.0)
     ww = 0.5 * tmax * w
@@ -130,7 +137,7 @@ def _c_alpha_left(xi: np.ndarray, alpha: float) -> np.ndarray:
     # decays to the left for alpha > 0, so this route avoids the huge
     # cancellation the right-integral identity suffers at large alpha.
     out = np.empty_like(xi)
-    t, w = _leg(1600)
+    t, w = legendre_reference(1600)
     for i, x in enumerate(xi):
         umin = min(x, 0.0) - 50.0 / alpha
         u = umin + 0.5 * (x - umin) * (t + 1.0)
@@ -147,10 +154,9 @@ def c_alpha(xi, alpha: float, cross_check: bool = False) -> float | np.ndarray:
     for numerical stability).  With ``cross_check`` the complex contour
     route must agree to 1e-5.
     """
-    if abs(alpha) > 4.0:
-        raise ValueError("deformation parameter limited to |alpha| <= 4")
+    _check_alpha(alpha)
     arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(arr < -12.0):
+    if np.any(arr < _WINDOW_LEFT):
         raise ValueError("profile evaluated below the supported window")
     vals = _c_alpha_right(arr, alpha) if alpha <= 1.0 else _c_alpha_left(arr, alpha)
     if cross_check:
@@ -174,7 +180,7 @@ def c_alpha_contour(xi: float, alpha: float, radius: float = 30.0, m: int = 700)
         raise ValueError("contour radius beyond the Airy accuracy envelope")
     delta = 0.5
     vertex = -1j * delta
-    t, w = _leg(m)
+    t, w = legendre_reference(m)
     r = 0.5 * radius * (t + 1.0)
     rw = 0.5 * radius * w
     total = 0.0 + 0.0j
@@ -190,6 +196,10 @@ def c_alpha_contour(xi: float, alpha: float, radius: float = 30.0, m: int = 700)
 
 def f1(T: float, alpha: float, m: int = DEFAULT_NODES, check_convergence: bool = False) -> float:
     """Deformed critical edge law: f0 times (1 - <resolvent profile, Ai>)."""
+    _check_window(T, m)
+    _check_alpha(alpha)
+    if T <= CDF_FLOOR:
+        return 0.0
     disc = AiryDiscretization(T, m, L=_span_for(alpha))
     det0 = float(np.linalg.det(np.eye(m) - disc.kernel))
     rhs = disc.sqrt_w * c_alpha(disc.nodes, alpha)
@@ -349,12 +359,13 @@ class LimitLaw:
     def cdf_standard(self, t, m: int = DEFAULT_NODES):
         """CDF in the law's own standardized variable (non-mixture kinds)."""
         tv = np.atleast_1d(np.asarray(t, dtype=float))
+        # f0 and f1 are 0 at the floor, so lifting t to it answers any t left of it.
         if self.kind == "F0":
-            out = np.array([f0(float(x), m) if x > CDF_FLOOR else 0.0 for x in tv])
+            out = np.array([f0(float(x), m) for x in np.maximum(tv, CDF_FLOOR)])
         elif self.kind == "F1":
             # The deformed law for spike offset alpha is the profile-deformed
             # determinant at parameter -alpha.
-            out = np.array([f1(float(x), -self.alpha, m) if x > CDF_FLOOR else 0.0 for x in tv])
+            out = np.array([f1(float(x), -self.alpha, m) for x in np.maximum(tv, CDF_FLOOR)])
         elif self.kind == "Gauss":
             out = np.array([normal_cdf(float(x)) for x in tv])
         elif self.kind == "GenGauss":

@@ -25,6 +25,7 @@ __all__ = [
     "airy_ai_prime",
     "gauss_legendre",
     "gen_gauss_cdf",
+    "legendre_reference",
     "normal_cdf",
 ]
 
@@ -353,13 +354,26 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
+@lru_cache(maxsize=64)
+def legendre_reference(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per size.
+
+    The build is O(m^3), most of the cost of a large rule; every rule in the
+    package maps these read-only arrays onto its own interval.
+    """
+    x, w = leggauss(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(m: int, lo: float, hi: float) -> QuadratureRule:
     """Gauss-Legendre rule with m nodes on (lo, hi); exact to degree 2m-1."""
     if m < 2:
         raise ValueError(f"need at least 2 nodes, got {m}")
     if not lo < hi:
         raise ValueError(f"invalid interval ({lo}, {hi})")
-    x, w = leggauss(m)
+    x, w = legendre_reference(m)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     rule = QuadratureRule(nodes=mid + half * x, weights=half * w, interval=(lo, hi))

@@ -141,6 +141,19 @@ class TestDeformedLaw:
             assert law.cdf_standard(-10.0) == 0.0
             assert abs(law.cdf_standard(CDF_FLOOR + 0.01)) < 1e-20
         assert LimitLaw("F0").cdf_standard(-10.0) == 0.0
+        assert abs(LimitLaw("F0").cdf_standard(CDF_FLOOR + 0.01)) < 1e-20
+
+    def test_determinants_answer_left_of_the_floor(self):
+        # direct callers get the same 0 the law-level CDF returns, and the
+        # argument checks still reject points left of the window, too few
+        # nodes and |alpha| > 4
+        assert f0(-11.0) == 0.0
+        for alpha in (-1.0, 0.0, 1.0):
+            assert f1(-9.5, alpha) == 0.0
+        for call in (lambda: f1(-13.0, 0.0), lambda: f1(-10.0, 5.0),
+                     lambda: f0(-10.0, 5), lambda: f1(-10.0, 0.0, 5)):
+            with pytest.raises(ValueError):
+                call()
 
 
 def _synthetic_profile(eq, regime, maximizers, a=2.0, a_c=1.0):

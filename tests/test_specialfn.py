@@ -14,8 +14,12 @@ from spectral_edge.specialfn import (
     airy_ai_prime,
     gauss_legendre,
     gen_gauss_cdf,
+    legendre_reference,
     normal_cdf,
 )
+from spectral_edge import specialfn
+from spectral_edge.finitemodel import build_ortho
+from spectral_edge.potential import GUE
 
 from conftest import simpson_adaptive
 
@@ -175,10 +179,12 @@ class TestGaussLegendre:
         assert abs(rule.integrate(np.exp(rule.nodes)) - (math.e - 1.0 / math.e)) < 1e-14
 
     def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            gauss_legendre(8, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            gauss_legendre(1, 0.0, 1.0)
+        # the checks run before the cached reference rule is built
+        misses = legendre_reference.cache_info().misses
+        for m, lo, hi in ((8, 1.0, 1.0), (8, 2.0, 1.0), (1, 0.0, 1.0), (0, 0.0, 1.0), (-3, 0.0, 1.0)):
+            with pytest.raises(ValueError):
+                gauss_legendre(m, lo, hi)
+        assert legendre_reference.cache_info().misses == misses
 
     def test_invariants_all_sizes(self):
         for m in range(2, 201):
@@ -190,3 +196,36 @@ class TestGaussLegendre:
         bad = QuadratureRule(rule.nodes, -rule.weights, rule.interval)
         with pytest.raises(ValueError):
             bad.validate()
+
+
+class TestLegendreReference:
+    @pytest.mark.parametrize("m", [2, 160, 480, 2064])
+    def test_bit_identical_to_leggauss(self, m):
+        x, w = legendre_reference(m)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(m)
+        assert x.tobytes() == ref_x.tobytes()
+        assert w.tobytes() == ref_w.tobytes()
+
+    def test_read_only(self):
+        x, w = legendre_reference(12)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[:] = 1.0
+
+    def test_one_build_per_size(self, monkeypatch):
+        calls = []
+
+        def counting_leggauss(m):
+            calls.append(m)
+            return np.polynomial.legendre.leggauss(m)
+
+        monkeypatch.setattr(specialfn, "leggauss", counting_leggauss)
+        legendre_reference.cache_clear()
+        try:
+            first = build_ortho(GUE, 16, 17)
+            second = build_ortho(GUE, 16, 17)
+        finally:
+            legendre_reference.cache_clear()
+        assert calls == [first.grid.nodes.size]
+        assert np.array_equal(first.psi_values, second.psi_values)
