@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +64,24 @@ def cmd_equilibrium(args) -> int:
     return EXIT_OK
 
 
+def _numeric_stage(stage: str, fn, *args):
+    """Run one stage of a command; a ValueError inside it, on inputs that
+    passed validation, is a numeric failure reported under the stage name."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise RuntimeError(f"{stage}: {exc}") from exc
+
+
 def cmd_critical(args) -> int:
     V = _potential(args)
     out = _out_dir(args)
     eq = solve_support(V)
-    a_c = transition.critical_a(eq)
+    a_c = _numeric_stage("critical: a_c search", transition.critical_a, eq)
     half = 0.5 * eq.V.eval(eq.a1, 1)
-    secondary = transition.secondary_criticals(eq, a_c + 1e-4, args.a_max or 3.0 * half)
+    secondary = _numeric_stage("critical: secondary critical search",
+                               transition.secondary_criticals, eq, a_c + 1e-4,
+                               args.a_max or 3.0 * half)
     report = {
         "a_c": a_c,
         "half_Vprime_e": half,
@@ -167,12 +177,11 @@ def cmd_montecarlo(args) -> int:
     else:
         per_chain = 500
         chains = max(1, (args.reps + per_chain - 1) // per_chain)
-        def run(idx: int):
+        results = []
+        for idx in range(chains):
             cfg = sampler.McmcConfig(steps=per_chain * 2 + 800, burn_in=800,
                                      thinning=2, seed=args.seed + idx)
-            return sampler.mcmc_sample(V, args.n, a, cfg)
-        with ThreadPoolExecutor(max_workers=sampler.thread_count()) as pool:
-            results = list(pool.map(run, range(chains)))
+            results.append(sampler.mcmc_sample(V, args.n, a, cfg))
         lam = np.concatenate([r.lambda_max for r in results])[:args.reps]
         acc = float(np.mean([r.acceptance for r in results]))
         sample = sampler.EdgeSample(lam, n=args.n, a=a, j=1,

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .potential import Potential
 from .specialfn import legendre_reference
@@ -122,6 +123,7 @@ class EquilibriumData:
     _theta_w: np.ndarray = field(default=None, repr=False)
     _s: np.ndarray = field(default=None, repr=False)
     _dens: np.ndarray = field(default=None, repr=False)
+    _h_prime: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         t, w = legendre_reference(_THETA_NODES)
@@ -134,6 +136,7 @@ class EquilibriumData:
         # density times the Jacobian of s = mid + rad*cos(theta): the two
         # square roots combine into (rad*sin(theta))^2.
         self._dens = hvals * (rad * np.sin(th)) ** 2 / (2.0 * np.pi)
+        self._h_prime = polyder(self.h_coeffs)
         self.ell = 2.0 * self._g0(self.a1) - self.V.eval(self.a1)
         self.beta = edge_beta(self)
 
@@ -195,14 +198,12 @@ class EquilibriumData:
         if z <= self.a1:
             raise ValueError("derivatives are only evaluated right of the support")
         if m == 1:
-            h = np.polynomial.Polynomial(self.h_coeffs)
-            return 0.5 * (self.V.eval(z, 1) - h(z) * self._sqrt_cut(z))
+            return 0.5 * (self.V.eval(z, 1) - polyval(z, self.h_coeffs) * self._sqrt_cut(z))
         if m == 2:
-            h = np.polynomial.Polynomial(self.h_coeffs)
-            hp = h.deriv(1)
             S = self._sqrt_cut(z)
             Rp = 2.0 * z - self.b0 - self.a1
-            return 0.5 * (self.V.eval(z, 2) - hp(z) * S - h(z) * Rp / (2.0 * S))
+            return 0.5 * (self.V.eval(z, 2) - polyval(z, self._h_prime) * S
+                          - polyval(z, self.h_coeffs) * Rp / (2.0 * S))
         return self._g_quad(z, m)
 
 

@@ -25,6 +25,7 @@ from .transition import (
     critical_a,
     fluct_scale,
     maximizer_set,
+    scan,
     secondary_criticals,
 )
 
@@ -468,8 +469,8 @@ def predict_law(eq: EquilibriumData, a: float, n: int, j: int = 1,
     span = _MIXTURE_ALPHA_WINDOW / n + 1.0 / math.sqrt(n)
     nearby = secondary_criticals(eq, max(a - span, a_c + 1e-6), a + span, grid=24)
     for a0 in nearby:
-        profile0 = build_profile(eq, a0, a_c=a_c)
-        maxima = maximizer_set(eq, a0, tie_tol=1e-6)
+        s0 = scan(eq, a0)
+        maxima = maximizer_set(eq, a0, tie_tol=1e-6, s=s0)
         if len(maxima) < 2:
             continue
         orders = [k for _, k in maxima]
@@ -477,8 +478,8 @@ def predict_law(eq: EquilibriumData, a: float, n: int, j: int = 1,
             alpha_n = (a - a0) * n
             if abs(alpha_n) > _MIXTURE_ALPHA_WINDOW:
                 continue
-            profile0 = TransitionProfile(eq, a0, a_c, profile0.half_vp_edge, profile0.c_a,
-                                         profile0.G_max, tuple(maxima), "secondary-critical")
+            profile0 = TransitionProfile(eq, a0, a_c, half_vp, s0.c, s0.best()[1],
+                                         tuple(maxima), "secondary-critical")
             weights = mixture_weights(profile0, alpha_n, j, regime="secondary-critical")
             comps = tuple(
                 (w, _gauss_law(eq, a0, x, 1)) for w, (x, _) in zip(weights, maxima)
@@ -490,8 +491,8 @@ def predict_law(eq: EquilibriumData, a: float, n: int, j: int = 1,
         alpha_n = (a - a0) * n + q * math.log(n)
         if abs(alpha_n) > _MIXTURE_ALPHA_WINDOW:
             continue
-        profile0 = TransitionProfile(eq, a0, a_c, profile0.half_vp_edge, profile0.c_a,
-                                     profile0.G_max, tuple(maxima), "flat-secondary")
+        profile0 = TransitionProfile(eq, a0, a_c, half_vp, s0.c, s0.best()[1],
+                                     tuple(maxima), "flat-secondary")
         weights = mixture_weights(profile0, alpha_n, j, regime="flat-secondary")
         comps = (
             (weights[0], _gauss_law(eq, a0, x1, 1)),

@@ -37,6 +37,13 @@ class Potential:
             raise ValueError(f"potential degree must be <= {MAX_DEGREE}, got {deg}")
         if coeffs[-1] <= 0:
             raise ValueError("leading coefficient must be positive")
+        # coefficient arrays of V, V', ..., V^(degree), built once
+        derivs = [np.array(coeffs)]
+        for _ in range(deg):
+            derivs.append(np.polynomial.polynomial.polyder(derivs[-1]))
+        for arr in derivs:
+            arr.setflags(write=False)
+        object.__setattr__(self, "_derivs", tuple(derivs))
 
     @property
     def degree(self) -> int:
@@ -44,18 +51,17 @@ class Potential:
 
     def eval(self, x, k: int = 0):
         """Value (k=0) or k-th derivative of the polynomial at x."""
+        out = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float),
+                                               self.deriv_coefficients(k))
+        return float(out) if np.isscalar(x) else out
+
+    def deriv_coefficients(self, k: int = 1) -> np.ndarray:
+        """Monomial coefficients of the k-th derivative (read-only), 0 <= k <= degree."""
         if k < 0:
             raise ValueError("derivative order must be >= 0")
         if k > self.degree:
             raise ValueError(f"derivative order {k} exceeds degree {self.degree}")
-        p = np.polynomial.Polynomial(self.coefficients)
-        if k:
-            p = p.deriv(k)
-        out = p(np.asarray(x, dtype=float))
-        return float(out) if np.isscalar(x) else out
-
-    def deriv_coefficients(self, k: int = 1) -> np.ndarray:
-        return np.polynomial.Polynomial(self.coefficients).deriv(k).coef
+        return self._derivs[k]
 
     def to_json(self) -> dict:
         return {"label": self.label, "coefficients": list(self.coefficients)}

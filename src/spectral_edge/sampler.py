@@ -1,13 +1,18 @@
 """Monte Carlo verification: direct sampling of the Gaussian spiked model
-through its tridiagonal form, Metropolis sampling of the general-potential
-rank-one model, and empirical distance to predicted laws.
+through its tridiagonal form, Metropolis-within-Gibbs sampling of the
+general-potential rank-one model, and empirical distance to predicted laws.
 
 The joint eigenvalue density of the rank-one model factors into the squared
 Vandermonde, the confinement weight, and a divided difference of the
-exponential tilt over the eigenvalues.  The divided difference is computed
-as the corner entry of the exponential of a bidiagonal matrix (shifted so
-all entries stay bounded), which is immune to the catastrophic cancellation
-of the alternating-sum formula.
+exponential tilt over the eigenvalues.  The divided difference is the
+integral of exp(n a sum q_i lambda_i) over the weights q_i = |U_1i|^2 of the
+first basis vector on the eigenvectors, which are flat-Dirichlet on the
+simplex (the rank-one HCIZ identity).  The chain samples (lambda, q) jointly
+from the integrand: a single-site eigenvalue move costs O(n) and a move on
+a pair of weights at fixed sum is an exact draw from its truncated
+exponential conditional, so a sweep costs O(n^2) and never forms the
+divided difference.  ``dd_exp_log`` and ``log_density_rank1`` evaluate the
+marginal density directly, as an oracle for the chain.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,18 +39,18 @@ __all__ = [
     "mcmc_sample",
     "sample_gaussian_spiked",
     "save_sample",
+    "truncated_exp_draw",
 ]
 
 RNG_FAMILY = "philox"
-MCMC_MAX_N = 64         # each Metropolis sweep costs O(n^4)
-
-
-def thread_count() -> int:
-    env = os.environ.get("SPECTRAL_EDGE_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
+MCMC_MAX_N = 64         # each Metropolis sweep costs O(n^2)
+# One Metropolis sweep: LAMBDA_PASSES passes of single-site eigenvalue moves
+# over every site, then PAIR_PASSES random pairings of the spike weights.
+LAMBDA_PASSES = 2
+PAIR_PASSES = 4
+# Eigenvalues closer than this are a zero of the density: such a proposal
+# is rejected.
+TIE_GAP = 1e-12
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -115,8 +119,10 @@ def dd_exp_log(lams: np.ndarray, c: float) -> float:
 
     Corner entry of the exponential of the bidiagonal matrix with c*(node -
     max) on the diagonal and c on the superdiagonal, by Taylor plus
-    scaling-and-squaring; all matrix entries are nonnegative so no
-    cancellation occurs.  The max-node shift is restored additively.
+    scaling-and-squaring.  The diagonal is <= 0 but the off-diagonal part is
+    nonnegative, and the scaled matrix has norm <= 2, so any cancellation is
+    confined to the bounded Taylor phase; the squarings act on exp(A), whose
+    entries are all nonnegative.  The max-node shift is restored additively.
     """
     lams = np.asarray(lams, dtype=float)
     nn = lams.size
@@ -182,50 +188,96 @@ class McmcConfig:
             raise ValueError("thinning must be >= 1")
 
 
+def truncated_exp_draw(s, r, u):
+    """Inverse-CDF draws on [0, s] from the density proportional to exp(r x).
+
+    The CDF is (1 - exp(r x)) / (1 - exp(r s)).  Inverted in log1p/expm1
+    form at the rate -|r|, which cannot overflow, and reflected through s
+    for r > 0; at r = 0 (to 1e-200 in r s) the draw is uniform.  s, r and u
+    are arrays of one shape, u uniform on [0, 1).
+    """
+    t = -np.abs(r) * s
+    flat = t > -1e-200
+    t = np.where(flat, -1.0, t)
+    frac = np.where(flat, u, np.minimum(np.log1p(u * np.expm1(t)) / t, 1.0))
+    return np.where(r > 0, s - s * frac, s * frac)
+
+
 def mcmc_sample(V: Potential, n: int, a: float, cfg: McmcConfig) -> EdgeSample:
-    """Single-site Metropolis over the rank-one eigenvalue density.
+    """Metropolis-within-Gibbs over the eigenvalues and the spike weights.
+
+    The target is the squared Vandermonde times exp(-n sum V(lambda_i) +
+    n a sum q_i lambda_i) with q flat on the simplex; its lambda marginal is
+    the rank-one eigenvalue density.  A sweep runs ``LAMBDA_PASSES`` passes
+    of single-site Gaussian moves of the eigenvalues, each accepted on the
+    O(n) change of the log density, then (when a != 0) ``PAIR_PASSES``
+    random pairings of the weights, each pair redrawn from its exact
+    conditional at fixed sum (``truncated_exp_draw``).
 
     The proposal width adapts toward 0.3-0.5 acceptance during burn-in and
     is frozen afterwards, preserving detailed balance for the retained
-    sweeps.  One step = one full sweep over the coordinates.
+    sweeps.  ``acceptance`` is the eigenvalue-move acceptance after burn-in.
     """
     if n > MCMC_MAX_N:
         raise ValueError(f"Metropolis sampling capped at n = {MCMC_MAX_N}")
     rng = _rng(cfg.seed, stream=1)
     lams = np.sort(rng.normal(scale=0.7, size=n))
-    logp = log_density_rank1(lams, V, n, a)
+    q = rng.dirichlet(np.ones(n))
+    na = n * a
+    # log|lambda_i - lambda_j|, with zeros on the diagonal
+    logs = np.log(np.abs(np.subtract.outer(lams, lams)) + np.eye(n))
+    v_lams = V.eval(lams)
+    half = n // 2
     scale = cfg.proposal_scale
     kept = []
-    acc_window = []
-    accepted_after = 0
-    proposed_after = 0
+    window_acc = window_prop = 0
+    accepted_after = proposed_after = 0
     for sweep in range(cfg.steps):
         adapt = sweep < cfg.burn_in
-        for site in range(n):
-            prop = lams.copy()
-            prop[site] += scale * rng.normal()
-            try:
-                logp_new = log_density_rank1(prop, V, n, a)
-            except FloatingPointError:
-                continue
-            accept = math.log(rng.uniform()) < logp_new - logp
-            if adapt:
-                acc_window.append(1.0 if accept else 0.0)
-            else:
-                proposed_after += 1
-                accepted_after += 1 if accept else 0
-            if accept:
-                lams = prop
-                logp = logp_new
-        if adapt and len(acc_window) >= 4 * n:
-            rate = float(np.mean(acc_window))
-            if rate < 0.3:
-                scale *= 0.85
-            elif rate > 0.5:
-                scale *= 1.15
-            acc_window = []
-        if not adapt and (sweep - cfg.burn_in) % cfg.thinning == 0:
-            kept.append(float(lams.max()))
+        accepted = 0
+        for _ in range(LAMBDA_PASSES):
+            # A site keeps its value until its own move, so the confinement
+            # and tilt terms of the whole pass are computed up front; only
+            # the repulsion row depends on the moves made before it.
+            props = lams + scale * rng.normal(size=n)
+            v_props = V.eval(props)
+            local = n * (v_lams - v_props) + na * q * (props - lams)
+            thresholds = np.log(rng.uniform(size=n)) - local
+            for i, (x, thr) in enumerate(zip(props.tolist(), thresholds.tolist())):
+                dist = np.abs(lams - x)
+                dist[i] = 1.0
+                row = np.log(dist)
+                if (2.0 * np.add.reduce(row - logs[i]) > thr
+                        and np.minimum.reduce(dist) >= TIE_GAP):
+                    lams[i] = x
+                    v_lams[i] = v_props[i]
+                    logs[i] = row
+                    logs[:, i] = row
+                    accepted += 1
+        if na != 0.0:
+            for _ in range(PAIR_PASSES):
+                perm = rng.permutation(n)
+                left, right = perm[:half], perm[half:2 * half]
+                total = q[left] + q[right]
+                share = truncated_exp_draw(total, na * (lams[left] - lams[right]),
+                                           rng.uniform(size=half))
+                q[left] = share
+                q[right] = total - share
+        if adapt:
+            window_acc += accepted
+            window_prop += LAMBDA_PASSES * n
+            if window_prop >= 4 * n:
+                rate = window_acc / window_prop
+                if rate < 0.3:
+                    scale *= 0.85
+                elif rate > 0.5:
+                    scale *= 1.15
+                window_acc = window_prop = 0
+        else:
+            accepted_after += accepted
+            proposed_after += LAMBDA_PASSES * n
+            if (sweep - cfg.burn_in) % cfg.thinning == 0:
+                kept.append(float(lams.max()))
     rate = accepted_after / max(proposed_after, 1)
     return EdgeSample(np.array(kept), n=n, a=a, j=1, potential_label=V.label or "custom",
                       seed=cfg.seed, method="mcmc", acceptance=rate)

@@ -211,9 +211,14 @@ def _flatness_order(eq: EquilibriumData, a: float, x: float) -> int:
     raise ValueError("flatness order exceeds the supported range k <= 3")
 
 
-def maximizer_set(eq: EquilibriumData, a: float, tie_tol: float = TIE_TOL):
-    """Global maximizers of G right of the H minimum with their flatness orders."""
-    s = scan(eq, a)
+def maximizer_set(eq: EquilibriumData, a: float, tie_tol: float = TIE_TOL,
+                  s: Scan | None = None):
+    """Global maximizers of G right of the H minimum with their flatness orders.
+
+    ``s`` is the scan of (eq, a) when the caller already has it.
+    """
+    if s is None:
+        s = scan(eq, a)
     gmax = s.best()[1]
     winners = sorted(x for x, v in s.maxima if v >= gmax - tie_tol)
     return [(x, _flatness_order(eq, a, x)) for x in winners]

@@ -76,6 +76,17 @@ class TestCriticalCommand:
         assert not data["a_c_below_half_Vprime_e"]
 
 
+    def test_degenerate_eynard_is_numeric_failure(self, tmp_path, capsys):
+        # eps = 0: the effective potential touches zero at e_bar and the G
+        # scan cannot bracket its maximum; the command reports the stage
+        out = tmp_path / "crit"
+        assert run(["critical", "--potential", "eynard(3,0)", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: critical: a_c search:")
+        assert "Traceback" not in err
+        assert not (out / "critical.json").exists()
+
+
 class TestLawCommand:
     def test_supercritical_descriptor(self, tmp_path):
         out = tmp_path / "law"

@@ -83,6 +83,19 @@ class TestGFunction:
         assert abs(g_prime(eq_gue, 3.0) - (3.0 - math.sqrt(5.0)) / 2.0) < 1e-12
         assert abs(g_prime(eq_gue, 3.0) - gue_g_prime(3.0)) < 1e-12
 
+    @pytest.mark.parametrize("eq_name", ["eq_gue", "eq_quartic", "eq_eynard"])
+    def test_closed_forms_bit_identical_to_polynomial_route(self, eq_name, request):
+        # g' and g'' right of the edge, with h and h' from cached coefficient
+        # arrays, evaluate exactly as through fresh numpy Polynomials
+        eq = request.getfixturevalue(eq_name)
+        h = np.polynomial.Polynomial(eq.h_coeffs)
+        hp = h.deriv(1)
+        for z in np.linspace(eq.a1 + 1e-6, eq.a1 + 8.0, 201).tolist():
+            S = math.sqrt((z - eq.b0) * (z - eq.a1))
+            Rp = 2.0 * z - eq.b0 - eq.a1
+            assert eq.g_deriv(z, 1) == 0.5 * (eq.V.eval(z, 1) - h(z) * S)
+            assert eq.g_deriv(z, 2) == 0.5 * (eq.V.eval(z, 2) - hp(z) * S - h(z) * Rp / (2.0 * S))
+
     def test_derivative_decays(self, eq_gue):
         assert g_prime(eq_gue, 1e6) < 2e-6
 

@@ -257,6 +257,24 @@ class TestPredictLaw:
         centers = [comp.center for _, comp in law.components]
         assert centers[0] < 6.0 < centers[1]
 
+    def test_secondary_query_scans_each_tilt_once(self, eq_shelf, monkeypatch):
+        from spectral_edge import limitlaws, transition
+        from spectral_edge.transition import secondary_criticals
+        a_c = critical_a(eq_shelf)
+        a0 = secondary_criticals(eq_shelf, 1.35, 1.95, grid=25)[0]
+        seen = []
+        real_scan = transition.scan
+
+        def counting_scan(eq, a):
+            seen.append((id(eq), a))
+            return real_scan(eq, a)
+
+        monkeypatch.setattr(transition, "scan", counting_scan)
+        monkeypatch.setattr(limitlaws, "scan", counting_scan, raising=False)
+        law = predict_law(eq_shelf, a0 + 2.0 / 400, 400, a_c=a_c)
+        assert law.kind == "Mixture"
+        assert len(seen) > 0 and len(set(seen)) == len(seen)
+
     def test_law_cdf_monotone(self, eq_eynard):
         ace = critical_a(eq_eynard)
         law = predict_law(eq_eynard, ace, 100, a_c=ace)

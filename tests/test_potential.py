@@ -43,6 +43,20 @@ class TestEval:
             GUE.eval(1.0, -1)
 
 
+    @pytest.mark.parametrize("V", [GUE, QUARTIC, eynard_potential(3.0, 0.02)],
+                             ids=["gue", "quartic", "eynard"])
+    def test_cached_derivatives_bit_identical(self, V):
+        # the cached coefficient arrays evaluate exactly as a fresh numpy
+        # Polynomial differentiated k times, on arrays and on scalars
+        x = np.random.default_rng(7).uniform(-6.0, 6.0, 20001)
+        for k in range(V.degree + 1):
+            ref = np.polynomial.Polynomial(V.coefficients).deriv(k)
+            assert np.array_equal(V.eval(x, k), ref(x))
+            for xi in x[:50].tolist():
+                val = V.eval(xi, k)
+                assert type(val) is float and val == ref(xi)
+
+
 class TestAdmissibility:
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import kolmogi, ndtri
 
+from spectral_edge.equilibrium import solve_support
 from spectral_edge.finitemodel import build_ortho, build_spiked, gap_probability
 from spectral_edge.limitlaws import LimitLaw, f0, predict_law
-from spectral_edge.potential import GUE
+from spectral_edge.potential import GUE, QUARTIC, eynard_potential
+from spectral_edge.transition import critical_a
 from conftest import dense_spiked_eigvalsh, edge_sample_400
 from spectral_edge.sampler import (
     EdgeSample,
@@ -21,7 +23,30 @@ from spectral_edge.sampler import (
     mcmc_sample,
     sample_gaussian_spiked,
     save_sample,
+    truncated_exp_draw,
 )
+
+# Integrated autocorrelation time above which a chain fails its law test,
+# as in the benchmark's GUE chain check: a chain that mixes worse must not
+# widen its own KS gate.
+TAU_MAX = 8.0
+
+
+def autocorr_time(x) -> float:
+    """Integrated autocorrelation time, Sokal's window M >= 5 tau."""
+    x = np.asarray(x, dtype=float) - np.mean(x)
+    k = x.size
+    f = np.fft.rfft(x, n=2 * k)
+    acf = np.fft.irfft(f * np.conj(f))[:k]
+    if acf[0] <= 0:
+        return 1.0
+    rho = acf / acf[0]
+    tau = 1.0
+    for m in range(1, k):
+        tau += 2.0 * rho[m]
+        if m >= 5.0 * tau:
+            break
+    return max(tau, 1.0)
 
 
 class TestDividedDifference:
@@ -216,6 +241,57 @@ class TestMcmc:
             expected = weights[cell] / total
             observed = visits[cell] / steps
             assert abs(observed - expected) < 0.05 * expected + 3.0 / math.sqrt(steps)
+
+
+class TestSpikeWeightMove:
+    @pytest.mark.parametrize("r", [6.0, -6.0, 0.0])
+    def test_matches_closed_form_cdf(self, r):
+        # 1e5 draws against (1 - exp(r u)) / (1 - exp(r s)), gated by DKW at 1e-3
+        s, reps = 0.7, 10 ** 5
+        rng = np.random.Generator(np.random.Philox(key=50))
+        draws = np.sort(truncated_exp_draw(np.full(reps, s), np.full(reps, r),
+                                           rng.uniform(size=reps)))
+        assert draws[0] >= 0.0 and draws[-1] <= s
+        cdf = draws / s if r == 0.0 else np.expm1(r * draws) / math.expm1(r * s)
+        ecdf = np.arange(1, reps + 1) / reps
+        ks = max(np.max(ecdf - cdf), np.max(cdf - (ecdf - 1.0 / reps)))
+        assert ks < math.sqrt(math.log(2.0 / 1e-3) / (2.0 * reps))
+
+    def test_steep_rates_stay_finite(self):
+        # r s far beyond exp's range: the draws pile up at the favoured end
+        u = np.array([0.0, 0.5, 0.999999])
+        s = np.ones(3)
+        up = truncated_exp_draw(s, np.full(3, 2000.0), u)
+        down = truncated_exp_draw(s, np.full(3, -2000.0), u)
+        assert np.all(np.isfinite(up)) and np.all((1.0 - 0.01 < up) & (up <= 1.0))
+        assert np.all(np.isfinite(down)) and np.all((0.0 <= down) & (down < 0.01))
+
+
+class TestMcmcAgainstExactLaw:
+    # Independent route: the exact finite-n CDF of the largest eigenvalue,
+    # the gap determinant of the spiked kernel at the same n.  The gate is
+    # the DKW bound at 1e-3 for draws / tau, with tau capped at TAU_MAX.
+    # Every 8th sweep is kept: at eynard's critical value the law is
+    # bimodal and lambda_max mixes slowly (tau ~ 9 per 2 sweeps at n = 8).
+    @pytest.mark.parametrize("V, a, seed", [
+        (eynard_potential(3.0, 0.02), None, 71),
+        (QUARTIC, 0.5, 72),
+    ], ids=["eynard-at-critical", "quartic"])
+    def test_matches_gap_probability(self, V, a, seed):
+        n = 8
+        if a is None:
+            a = critical_a(solve_support(V))
+        mc = mcmc_sample(V, n, a, McmcConfig(steps=16600, burn_in=600, thinning=8, seed=seed))
+        draws = np.sort(mc.lambda_max)
+        tau = autocorr_time(mc.lambda_max)
+        assert tau <= TAU_MAX
+        sk = build_spiked(build_ortho(V, n, n + 1, a_hint=a), a, 1)
+        grid = np.linspace(draws[0], draws[-1], 160)
+        exact = np.array([gap_probability(sk, [(t, np.inf)]) for t in grid])
+        cdf = np.interp(draws, grid, exact)
+        k = draws.size
+        ks = max(np.max(np.arange(1, k + 1) / k - cdf), np.max(cdf - np.arange(k) / k))
+        assert ks < math.sqrt(math.log(2.0 / 1e-3) * tau / (2.0 * k))
 
 
 class TestConventionPinning:
