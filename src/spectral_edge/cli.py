@@ -18,7 +18,7 @@ import numpy as np
 from . import equilibrium as eqmod
 from . import finitemodel, limitlaws, sampler, transition
 from .equilibrium import NotOneCutError, solve_support
-from .potential import load_potential
+from .potential import SpikeConfig, load_potential
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,6 +47,14 @@ def _potential(args):
         return load_potential(args.potential)
     except (ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"potential: {exc}") from exc
+
+
+def _spike(args, a: float) -> SpikeConfig:
+    """Validate the spike inputs of a command once, before any work."""
+    try:
+        return SpikeConfig(a=a, n=args.n, j=getattr(args, "j", 1))
+    except ValueError as exc:
+        raise InputError(f"{args.command}: {exc}") from exc
 
 
 def _t_grid(args) -> np.ndarray:
@@ -98,6 +106,10 @@ def cmd_critical(args) -> int:
 
 
 def cmd_law(args) -> int:
+    if not args.a_critical and args.a is None:
+        raise InputError("law requires --a or --a-critical")
+    # under --a-critical the spike is derived from a_c, so only n and j are inputs
+    _spike(args, 0.0 if args.a_critical else args.a)
     V = _potential(args)
     out = _out_dir(args)
     eq = solve_support(V)
@@ -106,8 +118,6 @@ def cmd_law(args) -> int:
         a_c = transition.critical_a(eq)
         alpha = args.alpha or 0.0
         a = a_c + eq.beta * alpha / args.n ** (1.0 / 3.0)
-    elif args.a is None:
-        raise InputError("law requires --a or --a-critical")
     else:
         a = args.a
     law = limitlaws.predict_law(eq, a, args.n, args.j, a_c=a_c)
@@ -135,12 +145,12 @@ def cmd_law(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    a = _spike(args, args.a if args.a is not None else 0.0).a
     if args.n > finitemodel.MAX_N:
         raise InputError(f"gap: n = {args.n} exceeds the determinant cap n <= {finitemodel.MAX_N}")
     V = _potential(args)
     out = _out_dir(args)
     eq = solve_support(V)
-    a = args.a if args.a is not None else 0.0
     ortho = finitemodel.build_ortho(V, args.n, args.n - args.j + 2, a_hint=a)
     sk = finitemodel.build_spiked(ortho, a, args.j)
     ts = _t_grid(args)
@@ -164,12 +174,12 @@ def cmd_gap(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    a = _spike(args, args.a if args.a is not None else 0.0).a
     if args.method == "mcmc" and args.n > sampler.MCMC_MAX_N:
         raise InputError(f"montecarlo: n = {args.n} exceeds the Metropolis cap "
                          f"n <= {sampler.MCMC_MAX_N}")
     V = _potential(args)
     out = _out_dir(args)
-    a = args.a if args.a is not None else 0.0
     if args.method == "direct-gaussian":
         if V.label != "gue":
             raise InputError("direct sampling is only available for the gue potential")
@@ -251,14 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Edge laws of rank-one spiked Hermitian matrix models")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # each subcommand declares only the flags it reads
     def common(sp, n_default=None):
         sp.add_argument("--potential", required=True, help="builtin name, eynard(e,eps), or JSON path")
-        sp.add_argument("--a", type=float, default=None)
-        sp.add_argument("--n", type=int, default=n_default)
-        sp.add_argument("--j", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--format", choices=["csv", "json"], default="csv")
+        if n_default is not None:
+            sp.add_argument("--a", type=float, default=None)
+            sp.add_argument("--n", type=int, default=n_default)
 
     sp = sub.add_parser("equilibrium", help="support, density, edge data")
     common(sp)
@@ -266,11 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("critical", help="critical and secondary critical spike strengths")
     common(sp)
+    sp.add_argument("--a", type=float, default=None, help="tilt tabulated in comparison.csv")
     sp.add_argument("--a-max", type=float, default=None)
     sp.set_defaults(func=cmd_critical)
 
     sp = sub.add_parser("law", help="predicted limiting law and its CDF table")
     common(sp, n_default=100)
+    sp.add_argument("--j", type=int, default=1)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--a-critical", action="store_true",
                     help="place the spike at the critical value offset by --alpha")
@@ -281,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gap", help="finite-size gap probabilities over a threshold sweep")
     common(sp, n_default=20)
+    sp.add_argument("--j", type=int, default=1)
     sp.add_argument("--T-min", dest="t_min", type=float, default=-4.0)
     sp.add_argument("--T-max", dest="t_max", type=float, default=3.0)
     sp.add_argument("--T-steps", dest="t_steps", type=int, default=15)
@@ -288,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("montecarlo", help="sample largest eigenvalues")
     common(sp, n_default=100)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--reps", type=int, default=2000)
     sp.add_argument("--method", choices=["direct-gaussian", "mcmc"], default="direct-gaussian")
     sp.set_defaults(func=cmd_montecarlo)

@@ -28,10 +28,6 @@ __all__ = [
     "check_regular",
     "density_psi",
     "edge_beta",
-    "g_derivative",
-    "g_double_prime",
-    "g_function",
-    "g_prime",
     "robin_constant",
     "solve_support",
 ]
@@ -176,15 +172,10 @@ class EquilibriumData:
     def _sqrt_cut(self, z: float) -> float:
         return math.sqrt((z - self.b0) * (z - self.a1))
 
-    def g(self, z: float) -> float:
-        if z <= self.a1 and z >= self.b0:
-            return self._g0(z) if z == self.a1 else self._g0_interior(z)
-        return self._g0(z)
-
     def _g0_interior(self, x: float) -> float:
         # log |x - s| with the singular point inside the cut; adaptive
-        # quadrature is only used for the regularity report, never in the
-        # hot paths.
+        # quadrature is only used by the robin_constant cross-check, never in
+        # the hot paths.
         from scipy.integrate import quad
 
         h = np.polynomial.Polynomial(self.h_coeffs)
@@ -273,25 +264,6 @@ def density_psi(eq: EquilibriumData, x) -> float:
     return float(val) if np.isscalar(x) else val
 
 
-def g_function(eq: EquilibriumData, z: float) -> float:
-    """Log-potential integral log(z - s) against the equilibrium density, z > a1."""
-    if z < eq.a1:
-        raise ValueError("g is evaluated at or right of the upper edge")
-    return eq._g0(z)
-
-
-def g_prime(eq: EquilibriumData, z: float) -> float:
-    return eq.g_deriv(z, 1)
-
-
-def g_double_prime(eq: EquilibriumData, z: float) -> float:
-    return eq.g_deriv(z, 2)
-
-
-def g_derivative(eq: EquilibriumData, z: float, m: int) -> float:
-    return eq.g_deriv(z, m)
-
-
 def robin_constant(eq: EquilibriumData, consistency_tol: float = 1e-5) -> float:
     """The variational constant, evaluated at the edge and cross-checked inside."""
     ell_edge = 2.0 * eq._g0(eq.a1) - eq.V.eval(eq.a1)
@@ -320,14 +292,6 @@ class RegularityReport:
     worst_margin_left: float
     worst_right_at: float
     worst_left_at: float
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "fail"
-        return (
-            f"{status}: min h = {self.h_min_inside:.3e}, "
-            f"outside margins {self.worst_margin_right:.3e} (right, x={self.worst_right_at:.4f}) "
-            f"/ {self.worst_margin_left:.3e} (left, x={self.worst_left_at:.4f})"
-        )
 
 
 def check_regular(eq: EquilibriumData, delta: float = 1e-3) -> RegularityReport:

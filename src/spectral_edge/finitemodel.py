@@ -24,7 +24,6 @@ __all__ = [
     "OrthoSystem",
     "SpikedKernel",
     "build_ortho",
-    "cd_kernel",
     "cd_kernel_matrix",
     "choose_halfwidth",
     "gap_probability",
@@ -67,10 +66,6 @@ class OrthoSystem:
     recur_a: np.ndarray = field(repr=False)
     recur_b: np.ndarray = field(repr=False)          # b[k] = gamma_{k-1}/gamma_k
     _norm0: float = 0.0
-
-    @property
-    def gamma_ratio(self) -> np.ndarray:
-        return self.recur_b[1:self.count]
 
     def orthonormality_defect(self) -> float:
         gram = (self.psi_values * self.grid.weights) @ self.psi_values.T
@@ -155,22 +150,6 @@ def cd_kernel_matrix(ortho: OrthoSystem, j: int, x: np.ndarray, y: np.ndarray | 
     px = ortho.psi_at(np.asarray(x, dtype=float))
     py = px if y is None else ortho.psi_at(np.asarray(y, dtype=float))
     return px[:nj].T @ py[:nj]
-
-
-def cd_kernel(ortho: OrthoSystem, j: int, x: float, y: float) -> float:
-    """Reproducing kernel of the size-(n-j) ensemble at a point pair.
-
-    Uses the two-term ratio form away from the diagonal and the full sum on
-    it; both agree to rounding at separations around 1e-3.
-    """
-    nj = ortho.n - j
-    if abs(x - y) < 1e-6:
-        px = ortho.psi_at(np.array([x]))[:, 0]
-        py = ortho.psi_at(np.array([y]))[:, 0] if x != y else px
-        return float(np.dot(px[:nj], py[:nj]))
-    p = ortho.psi_at(np.array([x, y]))
-    ratio = ortho.recur_b[nj]  # gamma_{nj-1}/gamma_{nj}
-    return float(ratio * (p[nj, 0] * p[nj - 1, 1] - p[nj - 1, 0] * p[nj, 1]) / (x - y))
 
 
 @dataclass

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = ["Potential", "SpikeConfig", "eynard_potential", "load_potential"]
 
@@ -86,11 +85,12 @@ class SpikeConfig:
 
     def __post_init__(self):
         if self.n < 4:
-            raise ValueError("n must be at least 4")
+            raise ValueError(f"n = {self.n} must be at least 4")
         if not 1 <= self.j <= 4:
-            raise ValueError("j must lie in 1..4")
+            raise ValueError(f"j = {self.j} must lie in 1..4")
         if self.a < 0:
-            raise ValueError("negative spike strength is out of scope; mirror the potential instead")
+            raise ValueError(f"a = {self.a:g} is negative; negative spike strength is out of "
+                             "scope, mirror the potential instead")
 
 
 def derivative_or_zero(V: Potential, x, k: int):
@@ -112,6 +112,8 @@ def eynard_companion_root(e_bar: float) -> float:
     Solved by bisection to 1e-12; the bracket exists because the integral is
     strictly increasing in e~ and changes sign on (2 - 10*e_bar, e_bar).
     """
+    # imported here so that importing the package does not load scipy.integrate
+    from scipy.integrate import quad
 
     def moment(et: float) -> float:
         val, _ = quad(lambda x: (x - e_bar) * (x - et) * np.sqrt(x * x - 4.0), 2.0, e_bar)

@@ -11,7 +11,6 @@ maximizer of G jumps between locations.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -346,7 +345,3 @@ def comparison_csv(eq: EquilibriumData, a_values, path, x_max_offset: float = 6.
                 row += [f"{cols[a][0][i]:.17g}", f"{cols[a][1][i]:.17g}"]
             writer.writerow(row)
 
-
-def profile_json(profile: TransitionProfile, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(profile.to_json(), fh, indent=2)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from spectral_edge.equilibrium import check_regular, g_function, solve_support
+from spectral_edge.equilibrium import check_regular
 from spectral_edge.finitemodel import build_ortho, build_spiked, gap_probability, gap_probability_raw
 from spectral_edge.limitlaws import (
     LimitLaw,
@@ -267,8 +267,10 @@ class TestAcceptance:
         details = []
         for n in (8, 32):
             for a in (0.0, 0.5, 2.0):
-                steps = 2200 if n == 8 else 1900
-                cfg = McmcConfig(steps=steps, burn_in=600, thinning=2,
+                # 4000 kept draws per chain: over 20 shifted seed sets the
+                # largest of the six KS values is at most 0.055, so the 0.07
+                # gate tests the law and not the seed (800 draws pass 16/20)
+                cfg = McmcConfig(steps=8600, burn_in=600, thinning=2,
                                  seed=500 + n + int(10 * a))
                 mc = mcmc_sample(GUE, n, a, cfg)
                 direct = sample_gaussian_spiked(n, a, 4000, seed=600 + n + int(10 * a))

@@ -237,3 +237,29 @@ class TestManifest:
         assert manifest["a"] == 2.0
         assert manifest["n"] == 100
         assert manifest["j"] == 1
+
+
+class TestSpikeValidation:
+    @pytest.mark.parametrize("argv, named", [
+        (["gap", "--n", "20", "--j", "30"], "j = 30"),
+        (["gap", "--j", "0"], "j = 0"),
+        (["montecarlo", "--n", "0"], "n = 0"),
+        (["law", "--a", "-0.5"], "a = -0.5"),
+    ], ids=["gap-j30", "gap-j0", "montecarlo-n0", "law-negative-a"])
+    def test_bad_spike_is_input_error(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "x"
+        assert run([*argv, "--potential", "gue", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert argv[0] in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "--j", "2"],
+        ["equilibrium", "--seed", "3"],
+        ["law", "--a", "1", "--format", "json"],
+    ], ids=["montecarlo-j", "equilibrium-seed", "law-format"])
+    def test_flag_the_command_ignores_is_rejected(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--potential", "gue", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -10,10 +10,6 @@ from spectral_edge.equilibrium import (
     check_regular,
     density_psi,
     edge_beta,
-    g_derivative,
-    g_double_prime,
-    g_function,
-    g_prime,
     robin_constant,
     solve_support,
     to_json,
@@ -80,8 +76,8 @@ class TestDensity:
 
 class TestGFunction:
     def test_closed_form_derivative(self, eq_gue):
-        assert abs(g_prime(eq_gue, 3.0) - (3.0 - math.sqrt(5.0)) / 2.0) < 1e-12
-        assert abs(g_prime(eq_gue, 3.0) - gue_g_prime(3.0)) < 1e-12
+        assert abs(eq_gue.g_deriv(3.0, 1) - (3.0 - math.sqrt(5.0)) / 2.0) < 1e-12
+        assert abs(eq_gue.g_deriv(3.0, 1) - gue_g_prime(3.0)) < 1e-12
 
     @pytest.mark.parametrize("eq_name", ["eq_gue", "eq_quartic", "eq_eynard"])
     def test_closed_forms_bit_identical_to_polynomial_route(self, eq_name, request):
@@ -97,10 +93,10 @@ class TestGFunction:
             assert eq.g_deriv(z, 2) == 0.5 * (eq.V.eval(z, 2) - hp(z) * S - h(z) * Rp / (2.0 * S))
 
     def test_derivative_decays(self, eq_gue):
-        assert g_prime(eq_gue, 1e6) < 2e-6
+        assert eq_gue.g_deriv(1e6, 1) < 2e-6
 
     def test_edge_limit_of_derivative(self, eq_gue):
-        assert abs(g_prime(eq_gue, 2.0 + 1e-6) - 1.0) < 2e-3
+        assert abs(eq_gue.g_deriv(2.0 + 1e-6, 1) - 1.0) < 2e-3
 
     def test_quadrature_matches_closed_form(self, eq_gue):
         # independent value oracle: g(z) = log z - int_z^inf (1/t - g'(t)) dt,
@@ -108,21 +104,21 @@ class TestGFunction:
         z = 3.0
         tail, _ = quad(lambda t: 1.0 / t - gue_g_prime(t), z, np.inf)
         oracle = math.log(z) + tail
-        assert abs(g_function(eq_gue, z) - oracle) < 1e-9
+        assert abs(eq_gue.log_potential(z) - oracle) < 1e-9
 
     def test_concavity_right_of_edge(self, eq_gue):
         for z in np.linspace(eq_gue.a1 + 1e-3, eq_gue.a1 + 10.0, 50):
-            assert g_double_prime(eq_gue, z) < 0.0
+            assert eq_gue.g_deriv(z, 2) < 0.0
 
     def test_higher_orders_match_finite_differences(self, eq_gue):
         z = 3.0
         h = 1e-3
-        fd3 = (g_double_prime(eq_gue, z + h) - g_double_prime(eq_gue, z - h)) / (2 * h)
-        assert abs(g_derivative(eq_gue, z, 3) - fd3) < 1e-6
+        fd3 = (eq_gue.g_deriv(z + h, 2) - eq_gue.g_deriv(z - h, 2)) / (2 * h)
+        assert abs(eq_gue.g_deriv(z, 3) - fd3) < 1e-6
 
     def test_inside_raises(self, eq_gue):
         with pytest.raises(ValueError):
-            g_prime(eq_gue, 0.0)
+            eq_gue.g_deriv(0.0, 1)
 
 
 class TestLogPotential:
@@ -160,7 +156,7 @@ class TestRobinConstant:
 
     def test_strict_inequality_outside(self, eq_gue):
         x = eq_gue.a1 + 0.5
-        assert 2.0 * g_function(eq_gue, x) - eq_gue.V.eval(x) < eq_gue.ell
+        assert 2.0 * eq_gue.log_potential(x) - eq_gue.V.eval(x) < eq_gue.ell
 
 
 class TestEdgeBeta:
@@ -204,10 +200,10 @@ class TestRegularity:
         assert report.passed
         # the effective potential at the secondary well nearly touches zero:
         # margin = -E(eps), E positive and O(eps)
-        E_02 = -(2.0 * g_function(eq_eynard, 3.0) - eq_eynard.V.eval(3.0) - eq_eynard.ell)
+        E_02 = -(2.0 * eq_eynard.log_potential(3.0) - eq_eynard.V.eval(3.0) - eq_eynard.ell)
         assert 0.0 < E_02 < 4.0 * 0.02
         eq_small = solve_support(eynard_potential(3.0, 0.005))
-        E_005 = -(2.0 * g_function(eq_small, 3.0) - eq_small.V.eval(3.0) - eq_small.ell)
+        E_005 = -(2.0 * eq_small.log_potential(3.0) - eq_small.V.eval(3.0) - eq_small.ell)
         assert 0.0 < E_005 < 4.0 * 0.005
         assert 1.5 < E_02 / E_005 < 8.0
 

@@ -7,7 +7,6 @@ from spectral_edge.finitemodel import (
     GridError,
     build_ortho,
     build_spiked,
-    cd_kernel,
     cd_kernel_matrix,
     choose_halfwidth,
     gap_probability,
@@ -33,7 +32,7 @@ class TestOrthoSystem:
         # under the Gaussian weight the off-diagonal recurrence coefficients
         # are exactly sqrt(i/n)
         expected = np.sqrt(np.arange(1, 21) / 20.0)
-        assert np.max(np.abs(ortho20.gamma_ratio[:20] - expected)) < 1e-10
+        assert np.max(np.abs(ortho20.recur_b[1:21] - expected)) < 1e-10
 
     def test_orthogonality(self, ortho20):
         w = ortho20.grid.weights
@@ -79,18 +78,22 @@ class TestKernel:
         assert abs(np.dot(w, np.diag(K)) - 19.0) < 1e-8
 
     def test_sum_and_ratio_forms_agree(self, ortho20):
+        # Christoffel-Darboux: the sum over the first n-j functions equals
+        # the two-term ratio form with gamma_{nj-1}/gamma_{nj} = recur_b[nj]
         x, y = 1.3, 1.3 + 1e-3
         nj = 19
         px = ortho20.psi_at(np.array([x, y]))
-        sum_form = float(np.dot(px[:nj, 0], px[:nj, 1]))
-        assert abs(cd_kernel(ortho20, 1, x, y) - sum_form) < 1e-8
+        sum_form = float(cd_kernel_matrix(ortho20, 1, np.array([x]), np.array([y]))[0, 0])
+        ratio_form = ortho20.recur_b[nj] * (px[nj, 0] * px[nj - 1, 1]
+                                            - px[nj - 1, 0] * px[nj, 1]) / (x - y)
+        assert abs(ratio_form - sum_form) < 1e-8
 
     def test_edge_scaling_approaches_airy_kernel(self, ortho20, eq_gue):
         bn = eq_gue.beta * 20 ** (2.0 / 3.0)
         x = 2.0 + 1.0 / bn
         ai, aip = airy_ai_pair(np.array([1.0]))
         k_airy_diag = aip[0] ** 2 - 1.0 * ai[0] ** 2
-        assert abs(cd_kernel(ortho20, 1, x, x) / bn - k_airy_diag) < 0.05
+        assert abs(cd_kernel_matrix(ortho20, 1, np.array([x]))[0, 0] / bn - k_airy_diag) < 0.05
 
 
 class TestSpikedKernel:

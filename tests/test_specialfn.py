@@ -94,7 +94,7 @@ class TestAiry:
             airy_ai(60.0j)
         with pytest.raises(AiryDomainError):
             airy_ai(-75.0)
-        with pytest.raises(AiryDomainError):
+        with pytest.raises(AiryDomainError, match="below the accuracy envelope"):
             airy_ai_pair(np.array([-60.0]))
 
     def test_positive_axis_extension(self):
@@ -104,11 +104,18 @@ class TestAiry:
         assert ai[0] == 0.0
 
     def test_pair_matches_scalar(self):
-        xs = np.array([-12.0, -9.0, -6.1, -3.0, 0.0, 2.2, 5.1, 7.9, 9.5, 40.0])
+        # the seams at +-8 (scipy inside, recessive expansion outside) and
+        # at 120 (exact zero beyond) are checked from both sides
+        xs = np.array([-12.0, -9.0, -8.0 - 1e-9, -8.0, -8.0 + 1e-9, -6.1, -3.0, 0.0, 2.2,
+                       5.1, 7.9, 8.0 - 1e-9, 8.0, 8.0 + 1e-9, 9.5, 40.0, 120.0])
         ai, aip = airy_ai_pair(xs)
         for i, x in enumerate(xs):
-            assert abs(ai[i] - airy_ai(x)) <= 1e-11 * max(1.0, abs(ai[i]))
-            assert abs(aip[i] - airy_ai_prime(x)) <= 1e-11 * max(1.0, abs(aip[i]))
+            ref = float(mp.airyai(float(x)))
+            refp = float(mp.airyai(float(x), 1))
+            assert abs(ai[i] - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(aip[i] - refp) <= 1e-12 * max(1.0, abs(refp))
+            assert abs(ai[i] - airy_ai(x)) <= 1e-12 * max(1.0, abs(ai[i]))
+            assert abs(aip[i] - airy_ai_prime(x)) <= 1e-12 * max(1.0, abs(aip[i]))
 
 
 class TestNormalCdf:
