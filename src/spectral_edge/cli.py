@@ -17,7 +17,7 @@ import numpy as np
 
 from . import equilibrium as eqmod
 from . import finitemodel, limitlaws, sampler, transition
-from .equilibrium import NotOneCutError, solve_support
+from .equilibrium import NotOneCutError, NotRegularError, solve_support
 from .potential import SpikeConfig, load_potential
 
 EXIT_OK = 0
@@ -175,6 +175,8 @@ def cmd_gap(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     a = _spike(args, args.a if args.a is not None else 0.0).a
+    if args.reps < 1:
+        raise InputError(f"montecarlo: reps = {args.reps} must be at least 1")
     if args.method == "mcmc" and args.n > sampler.MCMC_MAX_N:
         raise InputError(f"montecarlo: n = {args.n} exceeds the Metropolis cap "
                          f"n <= {sampler.MCMC_MAX_N}")
@@ -210,7 +212,11 @@ def cmd_compare(args) -> int:
     law = _law_from_json(law_json)
     report = {}
     if args.mc_dir:
-        sample = sampler.load_sample(Path(args.mc_dir) / "samples.csv")
+        path = Path(args.mc_dir) / "samples.csv"
+        try:
+            sample = sampler.load_sample(path)
+        except ValueError as exc:
+            raise InputError(f"compare: {path}: {exc}") from exc
         _check_consistency(Path(args.mc_dir), Path(args.law_dir))
         ks = sampler.ks_distance(sample, law)
         report["ks_distance"] = ks
@@ -321,7 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, NotRegularError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:

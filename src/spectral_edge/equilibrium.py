@@ -5,7 +5,8 @@ V' by the square root of the cut polynomial; the density prefactor h is the
 polynomial part of that division.  Candidate roots of the endpoint system
 are accepted only if the density is positive on the cut and the effective
 potential is strictly negative outside, which filters out the spurious
-branches the system also admits.
+branches the system also admits; where it touches zero to rounding the
+potential is not regular.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .specialfn import legendre_reference
 __all__ = [
     "EquilibriumData",
     "NotOneCutError",
+    "NotRegularError",
     "RegularityReport",
     "check_regular",
     "density_psi",
@@ -36,10 +38,15 @@ _THETA_NODES = 480
 _ENDPOINT_TOL = 1e-13
 _GRID_POINTS = 2001
 _LOG_BLOCK = 256        # rows of the log|x - s| matrix held at once (~1 MB)
+_REGULAR_TOL = 1e-11    # |2g - V - ell| counted as zero; eynard(3,0) reads -8.3e-14
 
 
 class NotOneCutError(RuntimeError):
     """No admissible one-cut equilibrium measure was found."""
+
+
+class NotRegularError(NotOneCutError):
+    """The effective potential touches zero off the cut to rounding."""
 
 
 def _chebyshev_moments(V: Potential, b0: float, a1: float, M: int = 96) -> tuple[float, float]:
@@ -162,16 +169,6 @@ class EquilibriumData:
             vals[i:i + _LOG_BLOCK] = logs @ weights
         return float(vals[0]) if xv.ndim == 0 else vals.reshape(xv.shape)
 
-    def _g_quad(self, z: float, m: int) -> float:
-        return float(
-            (-1.0) ** (m - 1)
-            * math.factorial(m - 1)
-            * np.dot(self._theta_w, self._dens / (z - self._s) ** m)
-        )
-
-    def _sqrt_cut(self, z: float) -> float:
-        return math.sqrt((z - self.b0) * (z - self.a1))
-
     def _g0_interior(self, x: float) -> float:
         # log |x - s| with the singular point inside the cut; adaptive
         # quadrature is only used by the robin_constant cross-check, never in
@@ -184,18 +181,22 @@ class EquilibriumData:
         val, _ = quad(integrand, self.b0, self.a1, points=[x], limit=200)
         return val
 
-    def g_deriv(self, z: float, m: int) -> float:
-        """m-th derivative of the log-potential for z > a1 (m >= 1)."""
-        if z <= self.a1:
+    def g_deriv(self, z, m: int):
+        """m-th derivative (m >= 1) of the log-potential at a point or array z > a1."""
+        zv = np.asarray(z, dtype=float)
+        if np.any(zv <= self.a1):
             raise ValueError("derivatives are only evaluated right of the support")
+        S = np.sqrt((zv - self.b0) * (zv - self.a1))
         if m == 1:
-            return 0.5 * (self.V.eval(z, 1) - polyval(z, self.h_coeffs) * self._sqrt_cut(z))
-        if m == 2:
-            S = self._sqrt_cut(z)
-            Rp = 2.0 * z - self.b0 - self.a1
-            return 0.5 * (self.V.eval(z, 2) - polyval(z, self._h_prime) * S
-                          - polyval(z, self.h_coeffs) * Rp / (2.0 * S))
-        return self._g_quad(z, m)
+            out = 0.5 * (self.V.eval(zv, 1) - polyval(zv, self.h_coeffs) * S)
+        elif m == 2:
+            Rp = 2.0 * zv - self.b0 - self.a1
+            out = 0.5 * (self.V.eval(zv, 2) - polyval(zv, self._h_prime) * S
+                         - polyval(zv, self.h_coeffs) * Rp / (2.0 * S))
+        else:
+            terms = self._dens / np.subtract.outer(zv, self._s) ** m
+            out = (-1.0) ** (m - 1) * math.factorial(m - 1) * (terms @ self._theta_w)
+        return float(out) if zv.ndim == 0 else out
 
 
 def solve_support(V: Potential, seeds=None) -> EquilibriumData:
@@ -204,7 +205,8 @@ def solve_support(V: Potential, seeds=None) -> EquilibriumData:
     Multi-start damped Newton: the heuristic scale seed first, then user
     seeds, then a coarse symmetric scan.  A converged root is accepted only
     when the density is positive on the cut and the effective potential
-    2g - V - ell stays strictly below zero outside it.
+    2g - V - ell stays strictly below zero outside it; a root where it comes
+    within rounding of zero raises ``NotRegularError``.
     """
     scale = float(np.sum(np.abs(V.coefficients))) ** (-1.0 / V.degree)
     candidates: list[tuple[float, float]] = [(-2.0 * scale, 2.0 * scale)]
@@ -241,14 +243,19 @@ def solve_support(V: Potential, seeds=None) -> EquilibriumData:
         except NotOneCutError as exc:
             failures.append((b0, a1, str(exc)))
             continue
-        outs = np.concatenate([
-            np.linspace(a1 + 1e-2, a1 + 10.0, 160),
-            np.linspace(b0 - 10.0, b0 - 1e-2, 80),
-        ])
-        margin = float(np.max(2.0 * eq.log_potential(outs) - V.eval(outs) - eq.ell))
-        if margin > 1e-8:
+        # Off the cut d/dx (2g - V - ell) = -+h sqrt((x-b0)(x-a1)), so it peaks only
+        # at real roots of h; real parts also catch a double root split by rounding.
+        xs = np.polynomial.Polynomial(h).roots().real
+        xs = xs[(xs < b0) | (xs > a1)]
+        vals = 2.0 * eq.log_potential(xs) - V.eval(xs) - eq.ell
+        margin = vals.max(initial=-np.inf)
+        if margin > _REGULAR_TOL:
             failures.append((b0, a1, f"outside inequality violated by {margin:.3e}"))
             continue
+        if margin >= -_REGULAR_TOL:
+            raise NotRegularError(
+                f"potential is not regular: the margin 2g - V - ell = {margin:.3e} at x = "
+                f"{xs[vals.argmax()]:.6g} is within the rounding bound {_REGULAR_TOL:g} of zero")
         return eq
     detail = "; ".join(f"({b:.4f},{a:.4f}): {msg}" for b, a, msg in failures) or "no converged root"
     raise NotOneCutError(f"no admissible one-cut measure: {detail}")

@@ -21,12 +21,11 @@ from .potential import derivative_or_zero
 from .specialfn import airy_ai_pair, gen_gauss_cdf, legendre_reference, normal_cdf
 from .transition import (
     TransitionProfile,
+    _switches,
     build_profile,
     critical_a,
     fluct_scale,
     maximizer_set,
-    scan,
-    secondary_criticals,
 )
 
 __all__ = [
@@ -467,9 +466,7 @@ def predict_law(eq: EquilibriumData, a: float, n: int, j: int = 1,
 
     # Supercritical side: look for a nearby secondary critical value.
     span = _MIXTURE_ALPHA_WINDOW / n + 1.0 / math.sqrt(n)
-    nearby = secondary_criticals(eq, max(a - span, a_c + 1e-6), a + span, grid=24)
-    for a0 in nearby:
-        s0 = scan(eq, a0)
+    for a0, s0 in _switches(eq, max(a - span, a_c + 1e-6), a + span):
         maxima = maximizer_set(eq, a0, tie_tol=1e-6, s=s0)
         if len(maxima) < 2:
             continue

@@ -72,6 +72,8 @@ class EdgeSample:
 
     def __post_init__(self):
         arr = np.asarray(self.lambda_max, dtype=float)
+        if arr.size == 0:
+            raise ValueError("a sample needs at least one draw")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
         self.lambda_max = arr

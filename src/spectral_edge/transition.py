@@ -6,6 +6,19 @@ over [e, infinity) marks the entropy cost of detaching from the bulk.  The
 critical spike strength is the infimum of a at which some G value beats the
 H minimum; secondary critical values are the strengths where the global
 maximizer of G jumps between locations.
+
+Every 1-D search is one ``brentq`` on a closed form with a known sign change;
+right of the edge e, g' = (V' - h sqrt((x - b0)(x - e))) / 2:
+* c(a) is the root of g' - a, which falls strictly from V'(e)/2 at the edge.
+* Each local maximum of G is a root of G' = g' - V' + a at a +/- sign change.
+* a_c is the root of phi(a) - 1e-12, phi = sup_{x >= c} G(x) - H(c): phi is
+  continuous and increasing (phi' = x0 - c), so [a_lo, V'(e)/2] brackets it,
+  and a_c = V'(e)/2 (convex type) when phi stays below the margin up to there.
+* A secondary value is a root of G(x_B(a)) - G(x_A(a)) for branches x_A < x_B
+  of local maxima (slope x_B - x_A > 0).  Branches only move right
+  (dx_k/da = 1/(-G'') > 0) and x0(a) is nondecreasing, so on a grid cell
+  (a_i, a_{i+1}] the leader x_A is the first maximum right of x0(a_i) and the
+  challenger x_B the last maximum left of x0(a_{i+1}).
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .equilibrium import EquilibriumData
 from .potential import derivative_or_zero
@@ -40,6 +53,8 @@ __all__ = [
 TIE_TOL = 1e-9
 _C_MAX_OFFSET = 1e6
 _FLAT_TOL = 1e-6
+_DETACH_TOL = 1e-12     # phi must beat this for detachment to count
+_ROOT_TOL = 1e-15       # brentq xtol for every root
 
 
 def c_of_a(eq: EquilibriumData, a: float) -> float:
@@ -49,22 +64,14 @@ def c_of_a(eq: EquilibriumData, a: float) -> float:
     half_vp = 0.5 * eq.V.eval(eq.a1, 1)
     if a >= half_vp:
         return eq.a1
-    lo = eq.a1 * (1.0 + 1e-15) + 1e-300
     hi = eq.a1 + 1.0
     while eq.g_deriv(hi, 1) > a:
         hi = eq.a1 + 2.0 * (hi - eq.a1)
         if hi - eq.a1 > _C_MAX_OFFSET:
             raise OverflowError("tilt too weak: H minimum beyond the search horizon")
-    # g' is strictly decreasing right of the edge, so bisection is safe.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if eq.g_deriv(mid, 1) > a:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+    # g' is continuous at the edge, where it equals V'(e)/2 > a
+    return brentq(lambda x: (eq.g_deriv(x, 1) if x > eq.a1 else half_vp) - a,
+                  eq.a1, hi, xtol=_ROOT_TOL)
 
 
 def G_fn(eq: EquilibriumData, a: float, x) -> float:
@@ -129,69 +136,38 @@ def scan(eq: EquilibriumData, a: float) -> Scan:
 
     # Linear grid over the scan window plus log-spaced points hugging the
     # left end, where near-critical maximizers sit arbitrarily close to the
-    # H minimum.
+    # H minimum; the first point is the float next to c(a).
     xs = np.linspace(lo, hi, 3000)
     near = lo + np.logspace(-9, math.log10(max(hi - lo, 1e-8)), 400)
-    xs = np.unique(np.concatenate([xs, near[near < hi]]))
-    gs = G_fn(eq, a, xs)
-    maxima = []
-    first = 1
-    edge_plus = np.nextafter(eq.a1, np.inf)
-    if c == eq.a1 and dG(edge_plus) > 0 and dG(xs[1]) < 0:
-        # G rises off the edge (G'(e+) = a - V'(e)/2 > 0) but already falls
-        # at the first interior grid point: the maximizer lies closer to the
-        # edge than the grid resolves, so take it as the root of G'.
-        x = brentq(dG, edge_plus, xs[1], xtol=1e-300)
-        maxima.append((x, G_fn(eq, a, x)))
-        first = 2
-    for i in range(first, xs.size - 1):
-        if gs[i] > gs[i - 1] and gs[i] >= gs[i + 1]:
-            res = minimize_scalar(
-                lambda t: -G_fn(eq, a, t),
-                bracket=(xs[i - 1], xs[i], xs[i + 1]),
-                options={"xtol": 1e-12},
-            )
-            x = float(res.x)
-            # Brent localizes a smooth maximum only to sqrt(eps); polish with
-            # Newton on the exact first derivative.
-            for _ in range(3):
-                g2 = eq.g_deriv(x, 2) - eq.V.eval(x, 2)
-                if g2 >= 0:
-                    break
-                step = dG(x) / g2
-                if not math.isfinite(step) or abs(step) > 0.5 * (hi - lo):
-                    break
-                x -= step
-            if not (lo < x < hi):
-                x = float(res.x)
-            maxima.append((x, G_fn(eq, a, x)))
-    # Boundary maxima at the right scan edge would signal a horizon
-    # problem; the decreasing-tail certificate prevents them.
-    return Scan(c, H_fn(eq, a, c), tuple(maxima))
+    xs = np.unique(np.concatenate([[np.nextafter(c, np.inf)], xs, near[near < hi]]))
+    d = dG(xs)
+    falls = np.flatnonzero((d[:-1] > 0) & (d[1:] <= 0))
+    x_max = np.array([brentq(dG, xs[i], xs[i + 1], xtol=_ROOT_TOL) for i in falls])
+    # The decreasing-tail certificate keeps every maximum inside the window.
+    maxima = tuple(zip(x_max.tolist(), G_fn(eq, a, x_max).tolist()))
+    return Scan(c, H_fn(eq, a, c), maxima)
+
+
+def _phi(eq: EquilibriumData, a: float, s: Scan) -> float:
+    """sup over x >= c(a) of G(x; a), less H(c(a); a), from the scan of a."""
+    return max([G_fn(eq, a, s.c)] + [v for _, v in s.maxima]) - s.h_c
 
 
 def in_A_V(eq: EquilibriumData, a: float) -> bool:
     """Whether some G value right of the H minimum beats the H minimum."""
-    s = scan(eq, a)
-    return bool(s.maxima) and s.best()[1] > s.h_c + 1e-12
+    return _phi(eq, a, scan(eq, a)) > _DETACH_TOL
 
 
-def critical_a(eq: EquilibriumData, a_lo: float = 1e-4, tol: float = 1e-8) -> float:
-    """Infimum spike strength at which detachment wins, by bisection."""
+def critical_a(eq: EquilibriumData, a_lo: float = 1e-4) -> float:
+    """Infimum spike strength at which detachment wins: the root of phi - 1e-12."""
     half_vp = 0.5 * eq.V.eval(eq.a1, 1)
-    if in_A_V(eq, a_lo):
+    excess = lambda a: _phi(eq, a, scan(eq, a)) - _DETACH_TOL  # noqa: E731
+    if excess(a_lo) > 0:
         raise ValueError("a_lo too large: detachment already favourable at the lower bracket")
-    lo, hi = a_lo, half_vp
-    if not in_A_V(eq, hi):
+    if excess(half_vp) <= 0:
         # Convex-type potential: the critical value is the edge slope itself.
         return half_vp
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if in_A_V(eq, mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return brentq(excess, a_lo, half_vp, xtol=_ROOT_TOL)
 
 
 def _flatness_order(eq: EquilibriumData, a: float, x: float) -> int:
@@ -228,27 +204,38 @@ def x0_of(eq: EquilibriumData, a: float) -> float:
     return scan(eq, a).best()[0]
 
 
-def secondary_criticals(eq: EquilibriumData, a_lo: float, a_hi: float,
-                        grid: int = 60, tol: float = 1e-8) -> list[float]:
-    """Spike strengths where the global maximizer jumps, located by bisection."""
+def _switches(eq: EquilibriumData, a_lo: float, a_hi: float) -> list[tuple[float, Scan]]:
+    """(a*, scan at a*) for each switch of the global maximizer in [a_lo, a_hi].
+
+    A cell of a 60-point grid holds a switch when its right leader is not the
+    first maximum right of its left leader; x_A and x_B (module docstring) are
+    taken to live across the cell.  Every tilt is scanned once.
+    """
     if not a_hi > a_lo:
         return []
-    avals = np.linspace(a_lo, a_hi, grid)
-    xs = [x0_of(eq, a) for a in avals]
-    jumps = []
+    avals = np.linspace(a_lo, a_hi, 60).tolist()
+    scans = [scan(eq, a) for a in avals]
+    out = []
     for i in range(len(avals) - 1):
-        gap_scale = 10.0 * (avals[i + 1] - avals[i]) * max(1.0, abs(xs[i]))
-        if xs[i + 1] - xs[i] > max(0.25, gap_scale):
-            lo, hi = avals[i], avals[i + 1]
-            x_lo = xs[i]
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if x0_of(eq, mid) - x_lo > 0.25:
-                    hi = mid
-                else:
-                    lo = mid
-            jumps.append(0.5 * (lo + hi))
-    return jumps
+        x_lo, x_hi = scans[i].best()[0], scans[i + 1].best()[0]
+        if next(x for x, _ in scans[i + 1].maxima if x >= x_lo) == x_hi:
+            continue
+        seen = {avals[i]: scans[i], avals[i + 1]: scans[i + 1]}
+
+        def gap(a):
+            if a not in seen:
+                seen[a] = scan(eq, a)
+            window = [v for x, v in seen[a].maxima if x_lo <= x <= x_hi]
+            return window[-1] - window[0]
+
+        a_star = brentq(gap, avals[i], avals[i + 1], xtol=_ROOT_TOL)
+        out.append((a_star, seen[a_star]))
+    return out
+
+
+def secondary_criticals(eq: EquilibriumData, a_lo: float, a_hi: float) -> list[float]:
+    """Spike strengths in [a_lo, a_hi] where the global maximizer of G switches."""
+    return [a for a, _ in _switches(eq, a_lo, a_hi)]
 
 
 def fluct_scale(eq: EquilibriumData, a: float, x_star: float, k: int = 1) -> float:

@@ -76,15 +76,22 @@ class TestCriticalCommand:
         assert not data["a_c_below_half_Vprime_e"]
 
 
-    def test_degenerate_eynard_is_numeric_failure(self, tmp_path, capsys):
-        # eps = 0: the effective potential touches zero at e_bar and the G
-        # scan cannot bracket its maximum; the command reports the stage
+    def test_degenerate_eynard_is_input_error(self, tmp_path, capsys):
+        # eps = 0: the effective potential touches zero at e_bar, so the
+        # potential is not regular; the message names the margin and its x
         out = tmp_path / "crit"
-        assert run(["critical", "--potential", "eynard(3,0)", "--out", str(out)]) == 3
+        assert run(["critical", "--potential", "eynard(3,0)", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("numeric failure: critical: a_c search:")
+        assert err.startswith("input error: potential is not regular")
+        assert "margin" in err and "x = 3" in err
         assert "Traceback" not in err
         assert not (out / "critical.json").exists()
+
+    def test_small_eps_eynard_answers(self, tmp_path):
+        out = tmp_path / "crit"
+        assert run(["critical", "--potential", "eynard(3,0.001)", "--out", str(out)]) == 0
+        data = json.loads((out / "critical.json").read_text())
+        assert data["a_c_below_half_Vprime_e"]
 
 
 class TestLawCommand:
@@ -252,6 +259,28 @@ class TestSpikeValidation:
         err = capsys.readouterr().err
         assert argv[0] in err and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-5"])
+    def test_empty_sample_request_is_input_error(self, tmp_path, capsys, reps):
+        out = tmp_path / "mc"
+        assert run(["montecarlo", "--potential", "gue", "--a", "1", "--n", "10",
+                    "--reps", reps, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "montecarlo" in err and f"reps = {reps}" in err
+        assert not out.exists()
+
+    def test_empty_sample_file_is_input_error(self, tmp_path, capsys):
+        mc, law = tmp_path / "mc", tmp_path / "law"
+        assert run(["montecarlo", "--potential", "gue", "--a", "2", "--n", "10",
+                    "--reps", "5", "--out", str(mc)]) == 0
+        (mc / "samples.csv").write_text("lambda_max\n")
+        assert run(["law", "--potential", "gue", "--a", "2", "--n", "10",
+                    "--out", str(law)]) == 0
+        capsys.readouterr()
+        assert run(["compare", "--law-dir", str(law), "--mc-dir", str(mc),
+                    "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert "samples.csv" in err and "at least one draw" in err
 
     @pytest.mark.parametrize("argv", [
         ["montecarlo", "--j", "2"],

@@ -167,7 +167,7 @@ class TestMixtureWeights:
         out = {}
         ace = critical_a(eq_eynard)
         out["critical"] = build_profile(eq_eynard, ace, a_c=ace)
-        a0 = secondary_criticals(eq_shelf, 1.35, 1.95, grid=25)[0]
+        a0 = secondary_criticals(eq_shelf, 1.35, 1.95)[0]
         prof = build_profile(eq_shelf, a0, a_c=critical_a(eq_shelf))
         if len(prof.maximizers) < 2:
             from spectral_edge.transition import maximizer_set
@@ -249,7 +249,7 @@ class TestPredictLaw:
     def test_secondary_mixture_dispatch(self, eq_shelf):
         from spectral_edge.transition import secondary_criticals
         a_c = critical_a(eq_shelf)
-        a0 = secondary_criticals(eq_shelf, 1.35, 1.95, grid=25)[0]
+        a0 = secondary_criticals(eq_shelf, 1.35, 1.95)[0]
         n = 400
         law = predict_law(eq_shelf, a0 + 0.5 / n, n, a_c=a_c)
         assert law.kind == "Mixture"
@@ -261,7 +261,7 @@ class TestPredictLaw:
         from spectral_edge import limitlaws, transition
         from spectral_edge.transition import secondary_criticals
         a_c = critical_a(eq_shelf)
-        a0 = secondary_criticals(eq_shelf, 1.35, 1.95, grid=25)[0]
+        a0 = secondary_criticals(eq_shelf, 1.35, 1.95)[0]
         seen = []
         real_scan = transition.scan
 

@@ -348,6 +348,11 @@ class TestPersistence:
             EdgeSample(np.array([1.0]), n=8, a=0.0, j=1, potential_label="gue",
                        seed=0, method="mcmc", acceptance=0.95)
 
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError):
+            EdgeSample(np.array([]), n=8, a=0.0, j=1, potential_label="gue",
+                       seed=0, method="direct-gaussian")
+
     def test_finite_samples_invariant(self):
         with pytest.raises(ValueError):
             EdgeSample(np.array([np.nan]), n=8, a=0.0, j=1, potential_label="gue",

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from spectral_edge import transition
+from spectral_edge.equilibrium import solve_support
+from spectral_edge.potential import eynard_potential
 from spectral_edge.transition import (
     G_fn,
     H_fn,
@@ -24,6 +28,38 @@ from conftest import gue_g_prime
 
 def gue_g_second(x: float) -> float:
     return 0.5 * (1.0 - x / math.sqrt(x * x - 4.0))
+
+
+def closed_form_critical_a(eq, guess: float) -> float:
+    """a_c as the root of phi(a) = max_{x >= c} G(x) - H(c), with every piece
+    from the closed forms right of the edge e:
+
+        G'(x) = a - (V'(x) + q(x)) / 2,   g'(x) = (V'(x) - q(x)) / 2,
+        q(x) = h(x) sqrt((x - b0)(x - e)),   G(c) - H(c) = -int_e^c q,
+
+    integrated with ``quad`` from c(a).  Bracketed within 2% of ``guess``.
+    """
+    e, b0 = eq.a1, eq.b0
+    h = np.polynomial.Polynomial(eq.h_coeffs)
+    Vp = np.polynomial.Polynomial(eq.V.coefficients).deriv()
+    half = 0.5 * Vp(e)
+
+    def q(x):
+        return h(x) * np.sqrt(np.maximum((x - b0) * (x - e), 0.0))
+
+    def phi(a):
+        c = e if a >= half else brentq(lambda x: 0.5 * (Vp(x) - q(x)) - a, e, e + 20.0,
+                                       xtol=1e-15)
+        dG = lambda x: a - 0.5 * (Vp(x) + q(x))
+        xs = np.linspace(c + 1e-12, e + 10.0, 4001)
+        d = dG(xs)
+        tops = [brentq(dG, xs[i], xs[i + 1], xtol=1e-15)
+                for i in np.flatnonzero((d[:-1] > 0) & (d[1:] <= 0))]
+        gain = max([0.0] + [quad(dG, c, x, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                            for x in tops])
+        return gain - quad(q, e, c, epsabs=1e-13, epsrel=1e-13)[0]
+
+    return brentq(phi, 0.98 * guess, min(1.02 * guess, half), xtol=1e-13)
 
 
 class TestCofA:
@@ -168,6 +204,26 @@ class TestCriticalValue:
         with pytest.raises(ValueError):
             critical_a(eq_gue, a_lo=1.5)
 
+    @pytest.mark.parametrize("name", ["eynard(3,0.02)", "two-shelf", "eynard(3,0.0001)",
+                                      "eynard(3,0.001)"])
+    def test_matches_closed_form_route(self, name, eq_shelf):
+        eq = eq_shelf if name == "two-shelf" else solve_support(
+            eynard_potential(3.0, float(name[len("eynard(3,"):-1])))
+        a_c = critical_a(eq)
+        assert abs(closed_form_critical_a(eq, a_c) - a_c) < 1e-10
+
+    def test_eynard_root_takes_few_scans(self, eq_eynard, monkeypatch):
+        seen = []
+        real_scan = transition.scan
+
+        def counting_scan(eq, a):
+            seen.append(a)
+            return real_scan(eq, a)
+
+        monkeypatch.setattr(transition, "scan", counting_scan)
+        critical_a(eq_eynard)
+        assert len(seen) <= 20
+
 
 class TestMaximizers:
     def test_gue_single_simple_maximizer(self, eq_gue):
@@ -207,7 +263,7 @@ class TestMaximizers:
 
 class TestSecondaryCriticals:
     def test_convex_has_none(self, eq_gue):
-        assert secondary_criticals(eq_gue, 1.05, 5.0, grid=40) == []
+        assert secondary_criticals(eq_gue, 1.05, 5.0) == []
 
     def test_quartic_range_from_critical(self, eq_quartic):
         # the critical subcommand's range, starting next to the edge
@@ -221,9 +277,18 @@ class TestSecondaryCriticals:
         assert abs(eq_shelf.a1 - 2.0) < 1e-8
         assert critical_a(eq_shelf) < 0.5 * eq_shelf.V.eval(2.0, 1)
 
+    def test_shelf_switch_on_the_critical_range(self, eq_shelf):
+        # the critical subcommand's default range, where a jump threshold
+        # of the maximizer location missed the switch
+        a_c = critical_a(eq_shelf)
+        half = 0.5 * eq_shelf.V.eval(eq_shelf.a1, 1)
+        jumps = secondary_criticals(eq_shelf, a_c + 1e-4, 3.0 * half)
+        assert len(jumps) == 1
+        assert abs(jumps[0] - 1.6874607344) < 1e-9
+
     def test_shelf_jump_detected(self, eq_shelf):
         a_c = critical_a(eq_shelf)
-        jumps = secondary_criticals(eq_shelf, 1.35, 1.95, grid=25)
+        jumps = secondary_criticals(eq_shelf, 1.35, 1.95)
         assert len(jumps) == 1
         a0 = jumps[0]
         assert a0 > a_c
@@ -233,7 +298,7 @@ class TestSecondaryCriticals:
     def test_tie_search_reports_both(self, eq_shelf):
         # tune the tilt until the top two maxima agree to below the tie
         # tolerance, then the maximizer set must contain both
-        jumps = secondary_criticals(eq_shelf, 1.35, 1.95, grid=25)
+        jumps = secondary_criticals(eq_shelf, 1.35, 1.95)
         a0 = jumps[0]
 
         def value_gap(a):
@@ -265,9 +330,9 @@ class TestProfiles:
         assert prof.maximizers[0][0] > eq_eynard.a1 + 0.5
 
     def test_shelf_secondary_profile(self, eq_shelf):
-        jumps = secondary_criticals(eq_shelf, 1.35, 1.95, grid=25)
+        jumps = secondary_criticals(eq_shelf, 1.35, 1.95)
         prof = build_profile(eq_shelf, jumps[0], a_c=critical_a(eq_shelf))
-        assert prof.regime in ("secondary-critical", "supercritical-generic")
+        assert prof.regime == "secondary-critical"
 
     def test_json_round_trip(self, eq_gue):
         prof = build_profile(eq_gue, 2.0, a_c=1.0)
