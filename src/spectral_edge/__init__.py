@@ -4,7 +4,7 @@ gap probabilities, and Monte Carlo verification."""
 
 from .potential import Potential, SpikeConfig, eynard_potential
 from .equilibrium import EquilibriumData, solve_support
-from .transition import TransitionProfile, build_profile, critical_a
+from .transition import critical_a
 from .limitlaws import LimitLaw, f0, f1, predict_law
 
 __all__ = [
@@ -12,8 +12,6 @@ __all__ = [
     "LimitLaw",
     "Potential",
     "SpikeConfig",
-    "TransitionProfile",
-    "build_profile",
     "critical_a",
     "eynard_potential",
     "f0",

@@ -93,7 +93,7 @@ def cmd_critical(args) -> int:
     report = {
         "a_c": a_c,
         "half_Vprime_e": half,
-        "a_c_below_half_Vprime_e": bool(a_c < half - 1e-6),
+        "a_c_below_half_Vprime_e": not transition.convex_type(eq, a_c),
         "secondary": secondary,
     }
     _write_manifest(out, "critical", args)
@@ -209,7 +209,7 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     with open(Path(args.law_dir) / "law.json") as fh:
         law_json = json.load(fh)
-    law = _law_from_json(law_json)
+    law = limitlaws.LimitLaw.from_json(law_json)
     report = {}
     if args.mc_dir:
         path = Path(args.mc_dir) / "samples.csv"
@@ -250,16 +250,6 @@ def _check_consistency(mc_dir: Path, law_dir: Path) -> None:
     for key in ("n", "potential"):
         if key in m1 and key in m2 and m1[key] != m2[key]:
             raise InputError(f"inputs disagree on {key}: {m1[key]} vs {m2[key]}")
-
-
-def _law_from_json(obj: dict) -> limitlaws.LimitLaw:
-    if obj["kind"] == "Mixture":
-        comps = tuple((w, _law_from_json(sub)) for w, sub in obj["components"])
-        return limitlaws.LimitLaw("Mixture", components=comps)
-    return limitlaws.LimitLaw(obj["kind"], center=obj["center"],
-                              scale_const=obj["scale_const"],
-                              scale_exponent=obj["scale_exponent"],
-                              alpha=obj.get("alpha", 0.0), order=obj.get("order", 1))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -199,6 +199,17 @@ class EquilibriumData:
         return float(out) if zv.ndim == 0 else out
 
 
+def _off_cut_peaks(eq: EquilibriumData) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots x of h off the cut and the effective potential 2g - V - ell there.
+
+    Off the cut d/dx (2g - V - ell) = -+h sqrt((x-b0)(x-a1)), so it peaks only
+    at real roots of h; real parts also catch a double root split by rounding.
+    """
+    xs = np.polynomial.Polynomial(eq.h_coeffs).roots().real
+    xs = xs[(xs < eq.b0) | (xs > eq.a1)]
+    return xs, 2.0 * eq.log_potential(xs) - eq.V.eval(xs) - eq.ell
+
+
 def solve_support(V: Potential, seeds=None) -> EquilibriumData:
     """Solve the one-cut endpoint system and validate the resulting measure.
 
@@ -243,11 +254,7 @@ def solve_support(V: Potential, seeds=None) -> EquilibriumData:
         except NotOneCutError as exc:
             failures.append((b0, a1, str(exc)))
             continue
-        # Off the cut d/dx (2g - V - ell) = -+h sqrt((x-b0)(x-a1)), so it peaks only
-        # at real roots of h; real parts also catch a double root split by rounding.
-        xs = np.polynomial.Polynomial(h).roots().real
-        xs = xs[(xs < b0) | (xs > a1)]
-        vals = 2.0 * eq.log_potential(xs) - V.eval(xs) - eq.ell
+        xs, vals = _off_cut_peaks(eq)
         margin = vals.max(initial=-np.inf)
         if margin > _REGULAR_TOL:
             failures.append((b0, a1, f"outside inequality violated by {margin:.3e}"))
@@ -301,24 +308,31 @@ class RegularityReport:
     worst_left_at: float
 
 
-def check_regular(eq: EquilibriumData, delta: float = 1e-3) -> RegularityReport:
-    """Positivity of the density prefactor inside, strict negativity outside."""
+def check_regular(eq: EquilibriumData) -> RegularityReport:
+    """Positivity of the density prefactor inside, strict negativity outside.
+
+    The outside margins are the effective potential at its only peaks off
+    the cut (``-inf`` on a side without one); they must stay below the
+    rounding bound that ``solve_support`` applies.
+    """
     grid = np.linspace(eq.b0, eq.a1, 200)
     h_min = float(np.polynomial.Polynomial(eq.h_coeffs)(grid).min())
-    right = np.linspace(eq.a1 + delta, eq.a1 + 10.0, 200)
-    left = np.linspace(eq.b0 - 10.0, eq.b0 - delta, 200)
-    vals_r = 2.0 * eq.log_potential(right) - eq.V.eval(right) - eq.ell
-    vals_l = 2.0 * eq.log_potential(left) - eq.V.eval(left) - eq.ell
-    ir = int(np.argmax(vals_r))
-    il = int(np.argmax(vals_l))
-    passed = h_min > 0 and vals_r[ir] < 0 and vals_l[il] < 0
+    xs, vals = _off_cut_peaks(eq)
+
+    def worst(side: np.ndarray) -> tuple[float, float]:
+        if not side.any():
+            return -math.inf, math.nan
+        k = np.flatnonzero(side)[np.argmax(vals[side])]
+        return float(vals[k]), float(xs[k])
+
+    (right, right_at), (left, left_at) = worst(xs > eq.a1), worst(xs < eq.b0)
     return RegularityReport(
-        passed=passed,
+        passed=h_min > 0 and max(right, left) < -_REGULAR_TOL,
         h_min_inside=h_min,
-        worst_margin_right=float(vals_r[ir]),
-        worst_margin_left=float(vals_l[il]),
-        worst_right_at=float(right[ir]),
-        worst_left_at=float(left[il]),
+        worst_margin_right=right,
+        worst_margin_left=left,
+        worst_right_at=right_at,
+        worst_left_at=left_at,
     )
 
 

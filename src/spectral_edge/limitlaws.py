@@ -20,12 +20,13 @@ from .equilibrium import EquilibriumData
 from .potential import derivative_or_zero
 from .specialfn import airy_ai_pair, gen_gauss_cdf, legendre_reference, normal_cdf
 from .transition import (
-    TransitionProfile,
+    G_fn,
     _switches,
-    build_profile,
+    convex_type,
     critical_a,
     fluct_scale,
     maximizer_set,
+    scan,
 )
 
 __all__ = [
@@ -48,10 +49,6 @@ _BASE_SPAN = 16.0
 # return 0 at and below it, and raise below the Nystrom window.
 CDF_FLOOR = -9.0
 _WINDOW_LEFT = -12.0
-
-
-class NystromConvergenceError(RuntimeError):
-    """Doubling the node count moved the determinant by more than the tolerance."""
 
 
 def _check_window(T: float, m: int) -> None:
@@ -106,18 +103,13 @@ class AiryDiscretization:
             raise AssertionError(f"kernel symmetrization failed: {asym:.2e}")
 
 
-def f0(T: float, m: int = DEFAULT_NODES, check_convergence: bool = False) -> float:
+def f0(T: float, m: int = DEFAULT_NODES) -> float:
     """Probability that the soft-edge point process has no point above T."""
     _check_window(T, m)
     if T <= CDF_FLOOR:
         return 0.0
     disc = AiryDiscretization(T, m)
-    val = float(np.linalg.det(np.eye(m) - disc.kernel))
-    if check_convergence:
-        val2 = float(np.linalg.det(np.eye(2 * m) - AiryDiscretization(T, 2 * m).kernel))
-        if abs(val - val2) > 1e-7:
-            raise NystromConvergenceError(f"|f0({m}) - f0({2 * m})| = {abs(val - val2):.2e}")
-    return val
+    return float(np.linalg.det(np.eye(m) - disc.kernel))
 
 
 def _c_alpha_right(xi: np.ndarray, alpha: float) -> np.ndarray:
@@ -194,7 +186,7 @@ def c_alpha_contour(xi: float, alpha: float, radius: float = 30.0, m: int = 700)
     return float(val.real)
 
 
-def f1(T: float, alpha: float, m: int = DEFAULT_NODES, check_convergence: bool = False) -> float:
+def f1(T: float, alpha: float, m: int = DEFAULT_NODES) -> float:
     """Deformed critical edge law: f0 times (1 - <resolvent profile, Ai>)."""
     _check_window(T, m)
     _check_alpha(alpha)
@@ -208,12 +200,7 @@ def f1(T: float, alpha: float, m: int = DEFAULT_NODES, check_convergence: bool =
         raise RuntimeError(f"resolvent system ill-conditioned: cond = {cond:.2e}")
     u = np.linalg.solve(np.eye(m) - disc.kernel, rhs)
     inner = float(np.dot(disc.sqrt_w * disc.ai, u))
-    val = det0 * (1.0 - inner)
-    if check_convergence:
-        val2 = f1(T, alpha, 2 * m)
-        if abs(val - val2) > 1e-7:
-            raise NystromConvergenceError(f"|f1({m}) - f1({2 * m})| = {abs(val - val2):.2e}")
-    return val
+    return det0 * (1.0 - inner)
 
 
 # -- one-cut prefactors of the finite-size outer asymptotics ----------------
@@ -240,88 +227,39 @@ def _edge_prefactor(eq: EquilibriumData) -> float:
     return math.sqrt(2.0) * (eq.a1 - eq.b0) ** (-0.25) * eq.beta ** 0.25
 
 
-def _normalized(weights: list[float]) -> list[float]:
-    total = sum(weights)
-    return [w / total for w in weights]
+def _amplitude(eq: EquilibriumData, x: float, k: int, j: int) -> float:
+    # Laplace amplitude of one part: a maximizer of G of flatness order k >= 1,
+    # or the bulk part (k = 0) at the H minimum c, on the edge or right of it.
+    if k == 0:
+        if x == eq.a1:
+            return _edge_prefactor(eq) / eq.beta
+        hpp = -eq.g_deriv(x, 2)  # H'' = -g''
+        if hpp <= 0:
+            raise ValueError("non-positive curvature of H at the bulk part")
+        return math.sqrt(2.0 * math.pi / hpp) * _outer_prefactor_dual(eq, x, j)
+    d2k = derivative_or_zero(eq.V, x, 2 * k) - eq.g_deriv(x, 2 * k)
+    if d2k <= 0:
+        raise ValueError(f"non-positive order-{2 * k} derivative of -G at a maximizer")
+    gauss_mass = math.gamma(1.0 / (2.0 * k)) / k
+    return (math.factorial(2 * k) / d2k) ** (1.0 / (2 * k)) * gauss_mass * _outer_prefactor(eq, x, j)
 
 
-def mixture_weights(profile: TransitionProfile, alpha: float, j: int = 1,
-                    regime: str | None = None) -> list[float]:
-    """Component weights of the split laws in the four near-critical regimes.
+def mixture_weights(eq: EquilibriumData, parts, alpha: float, j: int = 1) -> list[float]:
+    """Laplace-mass weights w_i ~ A_i exp(alpha x_i) of 2 or 3 parts (x, k).
 
-    The regimes and their weight formulas:
-
-    * ``critical`` (non-convex, a at the critical value): bulk-edge weight
-      against a single detached maximizer, exponent alpha*(x0 - c).
-    * ``secondary-critical``: one weight per tied maximizer, exponents
-      alpha*x_i, curvature-normalized.
-    * ``flat-secondary``: two tied maximizers of unequal flatness order.
-    * ``transit-critical``: edge weight against the detached maximizer at
-      the convex-type critical point.
-
-    Weights are positive, sum to one, are monotone in alpha and degenerate
-    to (1, 0, ...) and (0, ..., 1) in the alpha limits.
+    A part with k >= 1 is a maximizer of G of flatness order k, with amplitude
+    outer(x) ((2k)!/d_2k)^(1/2k) Gamma(1/2k)/k (sqrt(2 pi/(-G'')) outer(x) at
+    k = 1).  The part with k = 0 is the bulk at c(a_c), with amplitude
+    edge_prefactor/beta on the edge and sqrt(2 pi/H''(c)) outer_dual(c)
+    right of it.  Weights are positive, sum to one, move toward the rightmost
+    part as alpha grows, and saturate to (1, 0, ...) and (..., 0, 1) in the
+    alpha limits.
     """
-    eq = profile.eq
-    regime = regime or profile.regime
-    if regime == "critical":
-        if abs(profile.a_c - profile.half_vp_edge) <= 1e-6:
-            raise ValueError("convex-type critical point has a single deformed law, not a mixture")
-        c = profile.c_a
-        x0 = profile.maximizers[0][0]
-        hpp = -eq.g_deriv(c, 2)  # H'' = -g''
-        gpp = eq.V.eval(x0, 2) - eq.g_deriv(x0, 2)  # -G''(x0)
-        if hpp <= 0 or gpp <= 0:
-            raise ValueError("curvatures of the wrong sign for the critical mixture")
-        # Factor the common exponential scale out of both terms.
-        e0 = 0.0
-        e1 = alpha * (x0 - c)
-        shift = max(e0, e1)
-        c0 = _outer_prefactor_dual(eq, c, j) / math.sqrt(hpp) * math.exp(e0 - shift)
-        c1 = _outer_prefactor(eq, x0, j) / math.sqrt(gpp) * math.exp(e1 - shift)
-        return _normalized([c0, c1])
-    if regime == "secondary-critical":
-        xs = [x for x, k in profile.maximizers]
-        ks = [k for x, k in profile.maximizers]
-        if len(xs) < 2 or len(xs) > 3:
-            raise ValueError("secondary-critical mixtures support 2 or 3 maximizers")
-        if any(k != 1 for k in ks):
-            return mixture_weights(profile, alpha, j, regime="flat-secondary")
-        exps = [alpha * x for x in xs]
-        shift = max(exps)
-        amps = []
-        for x, e in zip(xs, exps):
-            gpp = eq.V.eval(x, 2) - eq.g_deriv(x, 2)
-            if gpp <= 0:
-                raise ValueError("non-positive curvature where a simple maximizer was assumed")
-            amps.append(_outer_prefactor(eq, x, j) / math.sqrt(gpp) * math.exp(e - shift))
-        return _normalized(amps)
-    if regime == "flat-secondary":
-        (x1, k1), (x2, k2) = profile.maximizers[:2]
-        if k1 != 1 or k2 <= 1:
-            raise ValueError("flat-secondary expects orders (1, k>1)")
-        e1, e2 = alpha * x1, alpha * x2
-        shift = max(e1, e2)
-        gpp1 = eq.V.eval(x1, 2) - eq.g_deriv(x1, 2)
-        d2k = derivative_or_zero(eq.V, x2, 2 * k2) - eq.g_deriv(x2, 2 * k2)
-        if gpp1 <= 0 or d2k <= 0:
-            raise ValueError("derivative signs inconsistent with the flatness orders")
-        gauss_mass = math.gamma(1.0 / (2.0 * k2)) / k2
-        b1 = math.sqrt(2.0 * math.pi / gpp1) * _outer_prefactor(eq, x1, j) * math.exp(e1 - shift)
-        b2 = (math.factorial(2 * k2) / d2k) ** (1.0 / (2 * k2)) * _outer_prefactor(eq, x2, j) \
-            * gauss_mass * math.exp(e2 - shift)
-        return _normalized([b1, b2])
-    if regime == "transit-critical":
-        x0 = profile.maximizers[0][0]
-        gpp = eq.V.eval(x0, 2) - eq.g_deriv(x0, 2)
-        if gpp <= 0:
-            raise ValueError("non-positive curvature at the detached maximizer")
-        e0, e1 = 0.0, alpha * (x0 - eq.a1)
-        shift = max(e0, e1)
-        d0 = _edge_prefactor(eq) / eq.beta * math.exp(e0 - shift)
-        d1 = math.sqrt(2.0 * math.pi / gpp) * _outer_prefactor(eq, x0, j) * math.exp(e1 - shift)
-        return _normalized([d0, d1])
-    raise ValueError(f"regime {regime!r} has no mixture-weight formula")
+    if not 2 <= len(parts) <= 3:
+        raise ValueError("mixture weights need 2 or 3 parts")
+    logs = np.array([math.log(_amplitude(eq, x, k, j)) + alpha * x for x, k in parts])
+    w = np.exp(logs - logs.max())
+    return (w / w.sum()).tolist()
 
 
 # -- law descriptors ---------------------------------------------------------
@@ -350,8 +288,9 @@ class LimitLaw:
             total = sum(w for w, _ in self.components)
             if abs(total - 1.0) > 1e-12:
                 raise ValueError("mixture weights must sum to one")
-            if not all(0.0 < w < 1.0 for w, _ in self.components):
-                raise ValueError("mixture weights must lie strictly inside (0, 1)")
+            # a saturated weight rounds to 0 or 1 and keeps its component
+            if not all(0.0 <= w <= 1.0 for w, _ in self.components):
+                raise ValueError("mixture weights must lie in [0, 1]")
 
     def rescale(self, lam, n: int):
         return (np.asarray(lam, dtype=float) - self.center) * self.scale_const * n ** self.scale_exponent
@@ -401,9 +340,24 @@ class LimitLaw:
             obj["components"] = [[w, law.to_json()] for w, law in self.components]
         return obj
 
+    @classmethod
+    def from_json(cls, obj: dict) -> LimitLaw:
+        """The law that ``to_json`` wrote."""
+        if obj["kind"] == "Mixture":
+            return cls("Mixture", components=tuple((w, cls.from_json(sub))
+                                                   for w, sub in obj["components"]))
+        return cls(obj["kind"], center=obj["center"], scale_const=obj["scale_const"],
+                   scale_exponent=obj["scale_exponent"], alpha=obj.get("alpha", 0.0),
+                   order=obj.get("order", 1))
+
 
 _CRITICAL_ALPHA_WINDOW = 1.5
 _MIXTURE_ALPHA_WINDOW = 30.0
+
+
+def _edge_law(eq: EquilibriumData, kind: str, alpha: float = 0.0) -> LimitLaw:
+    return LimitLaw(kind, center=eq.a1, scale_const=eq.beta, scale_exponent=2.0 / 3.0,
+                    alpha=alpha)
 
 
 def _gauss_law(eq: EquilibriumData, a: float, x_star: float, k: int) -> LimitLaw:
@@ -414,55 +368,45 @@ def _gauss_law(eq: EquilibriumData, a: float, x_star: float, k: int) -> LimitLaw
                     scale_exponent=1.0 / (2 * k), order=k)
 
 
+def _mixture(eq: EquilibriumData, parts, alpha: float, a: float, j: int) -> LimitLaw:
+    # The bulk part (k = 0) follows the edge law, deformed at alpha = 0 when
+    # c(a) is the edge itself; each maximizer its Gaussian law.
+    laws = [_edge_law(eq, "F1" if x == eq.a1 else "F0") if k == 0 else _gauss_law(eq, a, x, k)
+            for x, k in parts]
+    return LimitLaw("Mixture", components=tuple(zip(mixture_weights(eq, parts, alpha, j), laws)))
+
+
 def predict_law(eq: EquilibriumData, a: float, n: int, j: int = 1,
                 a_c: float | None = None) -> LimitLaw:
     """Map (potential, spike, size) to the predicted largest-eigenvalue law.
 
-    Finite-size dispatch windows: spikes within 1.5 critical-scale units of
-    a convex-type critical value resolve to the deformed edge law; spikes
-    within 30/n of a non-convex critical or a secondary critical value
-    resolve to the mixture laws (whose weights saturate beyond that window);
-    everything else is the bulk-edge law below and the outlier law above.
+    Finite-size dispatch windows: spikes within 30/n of a critical value
+    where the bulk and a detached maximizer of G tie, or of a secondary
+    critical value, resolve to mixture laws (whose weights saturate beyond
+    that window); spikes within 1.5 critical-scale units of a convex-type
+    critical value resolve to the deformed edge law; everything else is the
+    bulk-edge law below and the outlier law above.
     """
     if a_c is None:
         a_c = critical_a(eq)
-    half_vp = 0.5 * eq.V.eval(eq.a1, 1)
-    convex_type = abs(a_c - half_vp) <= 1e-6 * max(1.0, half_vp)
-    beta = eq.beta
+    convex = convex_type(eq, a_c)
 
-    if convex_type:
-        alpha_scaled = (a - a_c) * n ** (1.0 / 3.0) / beta
-        profile_at_ac = build_profile(eq, a_c, a_c=a_c)
-        transit = profile_at_ac.regime == "transit-critical"
-        if transit and abs(a - a_c) * n <= _MIXTURE_ALPHA_WINDOW:
-            alpha_n = (a - a_c) * n
-            weights = mixture_weights(profile_at_ac, alpha_n, j, regime="transit-critical")
-            x0 = profile_at_ac.maximizers[0][0]
-            comps = (
-                (weights[0], LimitLaw("F1", center=eq.a1, scale_const=beta,
-                                       scale_exponent=2.0 / 3.0, alpha=0.0)),
-                (weights[1], _gauss_law(eq, a_c, x0, profile_at_ac.maximizers[0][1])),
-            )
-            return LimitLaw("Mixture", components=comps)
-        if abs(alpha_scaled) <= _CRITICAL_ALPHA_WINDOW:
-            return LimitLaw("F1", center=eq.a1, scale_const=beta, scale_exponent=2.0 / 3.0,
-                            alpha=alpha_scaled)
-        if a < a_c:
-            return LimitLaw("F0", center=eq.a1, scale_const=beta, scale_exponent=2.0 / 3.0)
-    else:
-        if abs(a - a_c) * n <= _MIXTURE_ALPHA_WINDOW:
-            profile = build_profile(eq, a_c, a_c=a_c)
-            alpha_n = (a - a_c) * n
-            weights = mixture_weights(profile, alpha_n, j, regime="critical")
-            x0 = profile.maximizers[0][0]
-            comps = (
-                (weights[0], LimitLaw("F0", center=eq.a1, scale_const=beta,
-                                       scale_exponent=2.0 / 3.0)),
-                (weights[1], _gauss_law(eq, a_c, x0, profile.maximizers[0][1])),
-            )
-            return LimitLaw("Mixture", components=comps)
-        if a < a_c:
-            return LimitLaw("F0", center=eq.a1, scale_const=beta, scale_exponent=2.0 / 3.0)
+    if abs(a - a_c) * n <= _MIXTURE_ALPHA_WINDOW:
+        s = scan(eq, a_c)
+        if not convex:
+            return _mixture(eq, [(s.c, 0), maximizer_set(eq, a_c, s=s)[0]], (a - a_c) * n, a_c, j)
+        # At a convex-type critical value the bulk sits on the edge; it splits
+        # only when an interior maximizer ties the edge value (transit).
+        g_edge = G_fn(eq, a_c, eq.a1)
+        tied = [(x, k) for x, k in (maximizer_set(eq, a_c, s=s) if s.maxima else [])
+                if x > eq.a1 + 1e-6 and abs(G_fn(eq, a_c, x) - g_edge) <= 1e-6]
+        if tied:
+            return _mixture(eq, [(eq.a1, 0), tied[0]], (a - a_c) * n, a_c, j)
+    alpha_scaled = (a - a_c) * n ** (1.0 / 3.0) / eq.beta
+    if convex and abs(alpha_scaled) <= _CRITICAL_ALPHA_WINDOW:
+        return _edge_law(eq, "F1", alpha_scaled)
+    if a < a_c:
+        return _edge_law(eq, "F0")
 
     # Supercritical side: look for a nearby secondary critical value.
     span = _MIXTURE_ALPHA_WINDOW / n + 1.0 / math.sqrt(n)
@@ -470,32 +414,12 @@ def predict_law(eq: EquilibriumData, a: float, n: int, j: int = 1,
         maxima = maximizer_set(eq, a0, tie_tol=1e-6, s=s0)
         if len(maxima) < 2:
             continue
-        orders = [k for _, k in maxima]
-        if all(k == 1 for k in orders):
-            alpha_n = (a - a0) * n
-            if abs(alpha_n) > _MIXTURE_ALPHA_WINDOW:
-                continue
-            profile0 = TransitionProfile(eq, a0, a_c, half_vp, s0.c, s0.best()[1],
-                                         tuple(maxima), "secondary-critical")
-            weights = mixture_weights(profile0, alpha_n, j, regime="secondary-critical")
-            comps = tuple(
-                (w, _gauss_law(eq, a0, x, 1)) for w, (x, _) in zip(weights, maxima)
-            )
-            return LimitLaw("Mixture", components=comps)
-        # Unequal flatness orders: the tilt includes a logarithmic shift.
-        (x1, k1), (x2, k2) = maxima[0], maxima[1]
-        q = (0.5 - 0.5 / k2) / (x2 - x1)
-        alpha_n = (a - a0) * n + q * math.log(n)
-        if abs(alpha_n) > _MIXTURE_ALPHA_WINDOW:
-            continue
-        profile0 = TransitionProfile(eq, a0, a_c, half_vp, s0.c, s0.best()[1],
-                                     tuple(maxima), "flat-secondary")
-        weights = mixture_weights(profile0, alpha_n, j, regime="flat-secondary")
-        comps = (
-            (weights[0], _gauss_law(eq, a0, x1, 1)),
-            (weights[1], _gauss_law(eq, a0, x2, k2)),
-        )
-        return LimitLaw("Mixture", components=comps)
+        # A flatter second maximizer carries n^(1/2 - 1/2k) more Laplace mass,
+        # a shift of the tilt that is 0 when every order is 1.
+        (x1, _), (x2, k2) = maxima[:2]
+        alpha_n = (a - a0) * n + (0.5 - 0.5 / k2) / (x2 - x1) * math.log(n)
+        if abs(alpha_n) <= _MIXTURE_ALPHA_WINDOW:
+            return _mixture(eq, maxima, alpha_n, a0, j)
 
     maxima = maximizer_set(eq, a)
     if len(maxima) > 1:

@@ -37,9 +37,8 @@ __all__ = [
     "G_fn",
     "H_fn",
     "Scan",
-    "TransitionProfile",
-    "build_profile",
     "c_of_a",
+    "convex_type",
     "critical_a",
     "fluct_scale",
     "in_A_V",
@@ -170,6 +169,13 @@ def critical_a(eq: EquilibriumData, a_lo: float = 1e-4) -> float:
     return brentq(excess, a_lo, half_vp, xtol=_ROOT_TOL)
 
 
+def convex_type(eq: EquilibriumData, a_c: float) -> bool:
+    """Whether a_c is the edge slope V'(e)/2 (to 1e-6 relative): no detached
+    maximizer of G beats the bulk below it."""
+    half_vp = 0.5 * eq.V.eval(eq.a1, 1)
+    return abs(a_c - half_vp) <= 1e-6 * max(1.0, half_vp)
+
+
 def _flatness_order(eq: EquilibriumData, a: float, x: float) -> int:
     # Smallest k with a strictly negative derivative of order 2k, lower
     # derivatives (2..2k-1) vanishing within tolerance; order 1 excluded by
@@ -249,69 +255,6 @@ def fluct_scale(eq: EquilibriumData, a: float, x_star: float, k: int = 1) -> flo
     if d <= 0:
         raise ValueError("non-positive flat-order derivative at the maximizer")
     return (d / math.factorial(2 * k)) ** (1.0 / (2 * k))
-
-
-@dataclass(frozen=True)
-class TransitionProfile:
-    """Phase diagnosis of a (potential, spike strength) pair."""
-
-    eq: EquilibriumData
-    a: float
-    a_c: float
-    half_vp_edge: float
-    c_a: float
-    G_max: float
-    maximizers: tuple
-    regime: str
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "a_c": self.a_c,
-            "half_vp_edge": self.half_vp_edge,
-            "c_a": self.c_a,
-            "G_max": self.G_max,
-            "maximizers": [[x, k] for x, k in self.maximizers],
-            "regime": self.regime,
-        }
-
-
-def build_profile(eq: EquilibriumData, a: float, a_c: float | None = None,
-                  crit_tol: float = 1e-7) -> TransitionProfile:
-    """Classify the regime of a spike strength and collect the maximizer data."""
-    if a_c is None:
-        a_c = critical_a(eq)
-    half_vp = 0.5 * eq.V.eval(eq.a1, 1)
-    c = c_of_a(eq, a)
-    convex_type = abs(a_c - half_vp) <= 1e-6 * max(1.0, half_vp)
-
-    if a < a_c - crit_tol:
-        return TransitionProfile(eq, a, a_c, half_vp, c, float("nan"), (), "subcritical")
-
-    if abs(a - a_c) <= crit_tol and convex_type:
-        # Degenerate identification x0 = edge unless an interior tie
-        # survives at criticality, which is the transit case.
-        g_edge = G_fn(eq, a_c, eq.a1)
-        try:
-            maxima = maximizer_set(eq, a)
-        except ValueError:
-            maxima = []
-        interior = [m for m in maxima if m[0] > eq.a1 + 1e-6]
-        if interior and abs(G_fn(eq, a, interior[0][0]) - g_edge) <= 1e-6:
-            return TransitionProfile(eq, a, a_c, half_vp, c,
-                                     G_fn(eq, a, interior[0][0]), tuple(interior),
-                                     "transit-critical")
-        return TransitionProfile(eq, a, a_c, half_vp, c, g_edge, ((eq.a1, 1),), "critical")
-
-    maxima = maximizer_set(eq, a)
-    g_max = G_fn(eq, a, maxima[0][0])
-
-    if abs(a - a_c) <= crit_tol:
-        return TransitionProfile(eq, a, a_c, half_vp, c, g_max, tuple(maxima), "critical")
-
-    if len(maxima) > 1:
-        return TransitionProfile(eq, a, a_c, half_vp, c, g_max, tuple(maxima), "secondary-critical")
-    return TransitionProfile(eq, a, a_c, half_vp, c, g_max, tuple(maxima), "supercritical-generic")
 
 
 def comparison_csv(eq: EquilibriumData, a_values, path, x_max_offset: float = 6.0, num: int = 400) -> None:

@@ -35,7 +35,6 @@ from spectral_edge.specialfn import airy_ai, airy_ai_pair, gauss_legendre
 from spectral_edge.transition import (
     G_fn,
     H_fn,
-    TransitionProfile,
     c_of_a,
     critical_a,
     fluct_scale,
@@ -236,27 +235,24 @@ class TestAcceptance:
     def test_criterion_9_mixture_weight_properties(self, eq_gue):
         t0 = time.time()
 
-        def synthetic(regime, maximizers, c_a):
-            return TransitionProfile(eq=eq_gue, a=1.2, a_c=0.9, half_vp_edge=1.0,
-                                     c_a=c_a, G_max=0.0, maximizers=maximizers,
-                                     regime=regime)
-
-        profiles = {
-            "critical": synthetic("critical", ((3.0, 1),), 2.2),
-            "secondary-critical": synthetic("secondary-critical", ((2.5, 1), (3.0, 1)), 2.0),
-            "flat-secondary": synthetic("flat-secondary", ((2.5, 1), (3.2, 2)), 2.0),
-            "transit-critical": synthetic("transit-critical", ((2.5, 1),), 2.0),
+        # synthetic (x, k) parts: bulk (k = 0) right of the edge or on it,
+        # tied simple maximizers, and a simple maximizer against a flat one
+        parts_by_case = {
+            "critical": [(2.2, 0), (3.0, 1)],
+            "secondary": [(2.5, 1), (3.0, 1)],
+            "flat secondary": [(2.5, 1), (3.2, 2)],
+            "transit": [(eq_gue.a1, 0), (2.5, 1)],
         }
         ok = True
-        for regime, prof in profiles.items():
+        for parts in parts_by_case.values():
             firsts = []
             for alpha in np.linspace(-5.0, 5.0, 11):
-                w = mixture_weights(prof, float(alpha), regime=regime)
+                w = mixture_weights(eq_gue, parts, float(alpha))
                 ok = ok and abs(sum(w) - 1.0) < 1e-12 and all(wi > 0 for wi in w)
                 firsts.append(w[0])
             ok = ok and all(b < a for a, b in zip(firsts, firsts[1:]))
-            ok = ok and mixture_weights(prof, -30.0, regime=regime)[0] > 1.0 - 1e-6
-            ok = ok and mixture_weights(prof, 30.0, regime=regime)[0] < 1e-6
+            ok = ok and mixture_weights(eq_gue, parts, -30.0)[0] > 1.0 - 1e-6
+            ok = ok and mixture_weights(eq_gue, parts, 30.0)[0] < 1e-6
         elapsed = time.time() - t0
         ok = ok and elapsed < 5.0
         report(9, "mixture weight properties in all regimes", ok, f"{elapsed:.2f}s")

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from spectral_edge.limitlaws import (
     predict_law,
 )
 from spectral_edge.specialfn import airy_ai_pair, gauss_legendre, normal_cdf
-from spectral_edge.transition import TransitionProfile, build_profile, critical_a
+from spectral_edge.transition import c_of_a, critical_a, maximizer_set
 
 OMEGA = cmath.exp(2j * math.pi / 3.0)
 
@@ -156,61 +157,54 @@ class TestDeformedLaw:
                 call()
 
 
-def _synthetic_profile(eq, regime, maximizers, a=2.0, a_c=1.0):
-    return TransitionProfile(eq=eq, a=a, a_c=a_c, half_vp_edge=0.5 * eq.V.eval(eq.a1, 1),
-                             c_a=eq.a1, G_max=0.0, maximizers=maximizers, regime=regime)
+def _critical_parts(eq, a_c):
+    """The bulk part at c(a_c) and the first maximizer of G at a_c."""
+    return [(c_of_a(eq, a_c), 0), maximizer_set(eq, a_c)[0]]
 
 
 class TestMixtureWeights:
-    def _profiles(self, eq_gue, eq_eynard, eq_shelf):
+    def _parts(self, eq_gue, eq_eynard, eq_shelf):
         from spectral_edge.transition import secondary_criticals
         out = {}
-        ace = critical_a(eq_eynard)
-        out["critical"] = build_profile(eq_eynard, ace, a_c=ace)
+        out["critical"] = (eq_eynard, _critical_parts(eq_eynard, critical_a(eq_eynard)))
         a0 = secondary_criticals(eq_shelf, 1.35, 1.95)[0]
-        prof = build_profile(eq_shelf, a0, a_c=critical_a(eq_shelf))
-        if len(prof.maximizers) < 2:
-            from spectral_edge.transition import maximizer_set
-            prof = _synthetic_profile(eq_shelf, "secondary-critical",
-                                      tuple(maximizer_set(eq_shelf, a0, tie_tol=1e-4)),
-                                      a=a0)
-        out["secondary-critical"] = prof
-        out["flat-secondary"] = _synthetic_profile(eq_gue, "flat-secondary",
-                                                   ((2.5, 1), (3.2, 2)))
-        out["transit-critical"] = _synthetic_profile(eq_gue, "transit-critical",
-                                                     ((2.5, 1),))
+        tied = maximizer_set(eq_shelf, a0)
+        if len(tied) < 2:
+            tied = maximizer_set(eq_shelf, a0, tie_tol=1e-4)
+        out["secondary"] = (eq_shelf, tied)
+        out["flat secondary"] = (eq_gue, [(2.5, 1), (3.2, 2)])
+        out["transit"] = (eq_gue, [(eq_gue.a1, 0), (2.5, 1)])
         return out
 
     def test_all_regimes_properties(self, eq_gue, eq_eynard, eq_shelf):
-        for regime, prof in self._profiles(eq_gue, eq_eynard, eq_shelf).items():
+        for label, (eq, parts) in self._parts(eq_gue, eq_eynard, eq_shelf).items():
             first = []
             for alpha in np.linspace(-5.0, 5.0, 11):
-                w = mixture_weights(prof, float(alpha), regime=regime)
+                w = mixture_weights(eq, parts, float(alpha))
                 assert all(wi > 0 for wi in w)
                 assert abs(sum(w) - 1.0) < 1e-12
                 first.append(w[0])
-            assert all(b < a for a, b in zip(first, first[1:])), regime
-            assert mixture_weights(prof, -30.0, regime=regime)[0] > 1.0 - 1e-6
-            assert mixture_weights(prof, 30.0, regime=regime)[0] < 1e-6
+            assert all(b < a for a, b in zip(first, first[1:])), label
+            assert mixture_weights(eq, parts, -30.0)[0] > 1.0 - 1e-6
+            assert mixture_weights(eq, parts, 30.0)[0] < 1e-6
 
     def test_symmetric_two_point_tie(self, eq_gue):
         # equal curvatures and outer factors at alpha = 0 must split evenly;
         # realized by two copies of the same maximizer location
-        prof = _synthetic_profile(eq_gue, "secondary-critical", ((2.5, 1), (2.5, 1)))
-        w = mixture_weights(prof, 0.0)
+        w = mixture_weights(eq_gue, [(2.5, 1), (2.5, 1)], 0.0)
         assert abs(w[0] - 0.5) < 1e-12 and abs(w[1] - 0.5) < 1e-12
 
     def test_offset_dependence(self, eq_gue, eq_eynard):
-        ace = critical_a(eq_eynard)
-        prof = build_profile(eq_eynard, ace, a_c=ace)
-        w1 = mixture_weights(prof, 1.0, j=1)
-        w2 = mixture_weights(prof, 1.0, j=2)
+        parts = _critical_parts(eq_eynard, critical_a(eq_eynard))
+        w1 = mixture_weights(eq_eynard, parts, 1.0, j=1)
+        w2 = mixture_weights(eq_eynard, parts, 1.0, j=2)
         assert abs(w1[0] - w2[0]) > 1e-6
 
     def test_convex_critical_rejected(self, eq_gue):
-        prof = build_profile(eq_gue, 1.0, a_c=1.0)
+        # at a convex-type critical value the maximizer of G is the edge
+        # itself, which has no Gaussian part to weigh
         with pytest.raises(ValueError):
-            mixture_weights(prof, 0.0, regime="critical")
+            mixture_weights(eq_gue, [(c_of_a(eq_gue, 1.0), 0), (eq_gue.a1, 1)], 0.0)
 
 
 class TestPredictLaw:
@@ -241,10 +235,23 @@ class TestPredictLaw:
         assert law.kind == "Mixture"
         kinds = [comp.kind for _, comp in law.components]
         assert kinds == ["F0", "Gauss"]
-        prof = build_profile(eq_eynard, ace, a_c=ace)
-        expected = mixture_weights(prof, 1.0, regime="critical")
+        assert law.components[1][1].center > eq_eynard.a1 + 0.5
+        expected = mixture_weights(eq_eynard, _critical_parts(eq_eynard, ace), 1.0)
         for (w, _), e in zip(law.components, expected):
             assert abs(w - e) < 1e-9
+
+    def test_saturated_mixture_keeps_both_components(self, eq_shelf):
+        # 28/n from a_c the weights round to 1 and ~1e-38; the law still
+        # answers with both components inside the 30/n window
+        a_c = critical_a(eq_shelf)
+        n = 400
+        for a in (a_c - 28.0 / n, a_c + 28.0 / n):
+            law = predict_law(eq_shelf, a, n, a_c=a_c)
+            assert [comp.kind for _, comp in law.components] == ["F0", "Gauss"]
+            weights = sorted(w for w, _ in law.components)
+            assert weights[1] == 1.0 and 0.0 <= weights[0] < 1e-12
+            vals = law.cdf_lambda(np.linspace(eq_shelf.a1 - 0.5, 9.0, 12), n)
+            assert np.all(np.diff(vals) >= -1e-10) and abs(vals[-1] - 1.0) < 1e-9
 
     def test_secondary_mixture_dispatch(self, eq_shelf):
         from spectral_edge.transition import secondary_criticals
@@ -287,6 +294,20 @@ class TestPredictLaw:
         good = LimitLaw("Gauss", center=0.0, scale_const=1.0, scale_exponent=0.5)
         with pytest.raises(ValueError):
             LimitLaw("Mixture", components=((0.4, good), (0.4, good)))
+        with pytest.raises(ValueError):
+            LimitLaw("Mixture", components=((1.25, good), (-0.25, good)))
+
+    def test_json_round_trip_every_kind(self):
+        gauss = LimitLaw("Gauss", center=2.5, scale_const=1.2, scale_exponent=0.5)
+        laws = [
+            LimitLaw("F0", center=2.0, scale_const=1.0, scale_exponent=2.0 / 3.0),
+            LimitLaw("F1", center=2.0, scale_const=1.0, scale_exponent=2.0 / 3.0, alpha=-0.7),
+            gauss,
+            LimitLaw("GenGauss", center=3.1, scale_const=0.4, scale_exponent=0.25, order=2),
+            LimitLaw("Mixture", components=((1.0, LimitLaw("F0", center=2.0)), (1e-38, gauss))),
+        ]
+        for law in laws:
+            assert LimitLaw.from_json(json.loads(json.dumps(law.to_json()))) == law
 
     def test_descriptor_round_trip(self, eq_gue):
         law = predict_law(eq_gue, 2.0, 100, a_c=1.0)

@@ -11,8 +11,8 @@ from spectral_edge.potential import eynard_potential
 from spectral_edge.transition import (
     G_fn,
     H_fn,
-    build_profile,
     c_of_a,
+    convex_type,
     critical_a,
     fluct_scale,
     in_A_V,
@@ -317,25 +317,18 @@ class TestSecondaryCriticals:
 
 
 class TestProfiles:
-    def test_gue_regimes(self, eq_gue):
-        assert build_profile(eq_gue, 0.5, a_c=1.0).regime == "subcritical"
-        assert build_profile(eq_gue, 1.0, a_c=1.0).regime == "critical"
-        assert build_profile(eq_gue, 2.0, a_c=1.0).regime == "supercritical-generic"
-
     def test_eynard_critical_profile(self, eq_eynard):
+        # at a_c the eynard potential is of non-convex type: a single simple
+        # maximizer of G detached well to the right of the edge
         a_c = critical_a(eq_eynard)
-        prof = build_profile(eq_eynard, a_c, a_c=a_c)
-        assert prof.regime == "critical"
-        assert len(prof.maximizers) == 1
-        assert prof.maximizers[0][0] > eq_eynard.a1 + 0.5
+        assert not convex_type(eq_eynard, a_c)
+        out = maximizer_set(eq_eynard, a_c)
+        assert len(out) == 1
+        assert out[0][0] > eq_eynard.a1 + 0.5
 
-    def test_shelf_secondary_profile(self, eq_shelf):
-        jumps = secondary_criticals(eq_shelf, 1.35, 1.95)
-        prof = build_profile(eq_shelf, jumps[0], a_c=critical_a(eq_shelf))
-        assert prof.regime == "secondary-critical"
 
-    def test_json_round_trip(self, eq_gue):
-        prof = build_profile(eq_gue, 2.0, a_c=1.0)
-        obj = prof.to_json()
-        assert obj["regime"] == "supercritical-generic"
-        assert obj["maximizers"][0][1] == 1
+def test_convex_type_split(eq_gue, eq_quartic, eq_eynard, eq_shelf):
+    for eq in (eq_gue, eq_quartic):
+        assert convex_type(eq, critical_a(eq))
+    for eq in (eq_eynard, eq_shelf):
+        assert not convex_type(eq, critical_a(eq))
