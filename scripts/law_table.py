@@ -18,12 +18,12 @@ def main():
     args = ap.parse_args()
 
     ts = np.linspace(args.t_min, args.t_max, args.steps)
+    columns = [ts, f0(ts)] + [f1(ts, a) for a in args.alpha]
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["T", "f0"] + [f"f1(alpha={a:g})" for a in args.alpha])
-        for t in ts:
-            w.writerow([f"{t:.17g}", f"{f0(float(t)):.17g}"]
-                       + [f"{f1(float(t), a):.17g}" for a in args.alpha])
+        for row in zip(*columns):
+            w.writerow([f"{v:.17g}" for v in row])
     print(f"wrote {args.out}")
 
 

@@ -6,19 +6,28 @@ on [T, infinity), evaluated by a Nystrom discretization on a truncated
 interval; the kernel decays super-exponentially, so plain Gauss-Legendre
 nodes on [T, T+L] converge to machine precision well before m = 40.  The
 critical deformation applies the discretized resolvent to the deformation
-profile c_alpha and takes the weighted inner product with Ai.
+profile c_alpha and takes the weighted inner product with Ai.  A table of T
+is one pass: stacked kernels with batched det, cond and solve, and one
+cumulative c_alpha over every node of the stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .equilibrium import EquilibriumData
 from .potential import derivative_or_zero
-from .specialfn import airy_ai_pair, gen_gauss_cdf, legendre_reference, normal_cdf
+from .specialfn import (
+    ENVELOPE_RADIUS,
+    airy_ai_pair,
+    gen_gauss_cdf,
+    legendre_reference,
+    normal_cdf,
+)
 from .transition import (
     G_fn,
     _switches,
@@ -49,12 +58,23 @@ _BASE_SPAN = 16.0
 # return 0 at and below it, and raise below the Nystrom window.
 CDF_FLOOR = -9.0
 _WINDOW_LEFT = -12.0
+# Most T one stacked Nystrom pass holds.  A block's temporaries take ~75 kB
+# per T at m = 40; 16 T keep a 200-point KS grid within the memory of the
+# per-point solves, at the speed of one 64-T block.
+_BLOCK = 16
+# c_alpha panels: at most one unit long, so the oscillating left tail of Ai
+# (wavenumber up to sqrt(50)) spans about one period per panel.
+_PANEL_LENGTH = 1.0
+_PANEL_NODES = 12
+# Right end of the profile integral: Ai(u) e^{alpha u} < 1e-18 e^{alpha^3/3}
+# beyond it for every alpha <= 1.
+_TAIL_END = 20.0
 
 
-def _check_window(T: float, m: int) -> None:
+def _check_window(T, m: int) -> None:
     if m < 30:
         raise ValueError("need at least 30 nodes")
-    if T < _WINDOW_LEFT:
+    if np.any(np.asarray(T) < _WINDOW_LEFT):
         raise ValueError("left endpoint below the supported window")
 
 
@@ -73,9 +93,13 @@ def _span_for(alpha: float | None) -> float:
 
 @dataclass
 class AiryDiscretization:
-    """Nystrom grid for the soft-edge kernel on [T, T+L]."""
+    """Nystrom grids for the soft-edge kernel on [T, T+L].
 
-    T: float
+    A scalar T gives one (m, m) kernel; an array of T a stack of shape
+    T.shape + (m, m), one kernel per entry, built in one pass.
+    """
+
+    T: float | np.ndarray
     m: int = DEFAULT_NODES
     L: float = _BASE_SPAN
     nodes: np.ndarray = field(default=None, repr=False)
@@ -87,76 +111,104 @@ class AiryDiscretization:
     def __post_init__(self):
         _check_window(self.T, self.m)
         x, w = legendre_reference(self.m)
-        self.nodes = self.T + 0.5 * self.L * (x + 1.0)
+        self.nodes = np.asarray(self.T, dtype=float)[..., None] + 0.5 * self.L * (x + 1.0)
         self.weights = 0.5 * self.L * w
         self.sqrt_w = np.sqrt(self.weights)
         ai, aip = airy_ai_pair(self.nodes)
         self.ai = ai
-        X, Y = np.meshgrid(self.nodes, self.nodes, indexing="ij")
-        num = np.multiply.outer(ai, aip) - np.multiply.outer(aip, ai)
-        den = X - Y
+        num = ai[..., :, None] * aip[..., None, :] - aip[..., :, None] * ai[..., None, :]
+        den = self.nodes[..., :, None] - self.nodes[..., None, :]
         K = np.divide(num, den, out=np.zeros_like(num), where=np.abs(den) > 0)
-        np.fill_diagonal(K, aip * aip - self.nodes * ai * ai)
+        diag = np.arange(self.m)
+        K[..., diag, diag] = aip * aip - self.nodes * ai * ai
         self.kernel = self.sqrt_w[:, None] * K * self.sqrt_w[None, :]
-        asym = np.max(np.abs(self.kernel - self.kernel.T))
+        asym = np.max(np.abs(self.kernel - np.swapaxes(self.kernel, -1, -2)))
         if asym > 1e-12:
             raise AssertionError(f"kernel symmetrization failed: {asym:.2e}")
 
 
-def f0(T: float, m: int = DEFAULT_NODES) -> float:
-    """Probability that the soft-edge point process has no point above T."""
+def _by_blocks(T, m: int, block_fn):
+    # 0 at and left of the floor; every other T through block_fn, at most
+    # _BLOCK at a time.  A scalar T gives a float.
     _check_window(T, m)
-    if T <= CDF_FLOOR:
-        return 0.0
-    disc = AiryDiscretization(T, m)
-    return float(np.linalg.det(np.eye(m) - disc.kernel))
+    arr = np.asarray(T, dtype=float)
+    flat = arr.ravel()
+    out = np.zeros(flat.shape)
+    live = np.flatnonzero(flat > CDF_FLOOR)
+    for start in range(0, live.size, _BLOCK):
+        idx = live[start:start + _BLOCK]
+        out[idx] = block_fn(flat[idx])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _c_alpha_right(xi: np.ndarray, alpha: float) -> np.ndarray:
-    # exp(a^3/3 - a*xi) minus the Laplace-type integral of Ai(xi + t) e^{a t};
-    # stable for alpha <= 1 where the two terms stay comparable.
-    t, w = legendre_reference(360)
-    tmax = 60.0
-    tt = 0.5 * tmax * (t + 1.0)
-    ww = 0.5 * tmax * w
-    ai_t, _ = airy_ai_pair(xi[:, None] + tt[None, :])
-    integral = (ai_t * np.exp(alpha * tt)[None, :]) @ ww
-    return np.exp(alpha ** 3 / 3.0 - alpha * xi) - integral
+def f0(T, m: int = DEFAULT_NODES):
+    """Probability that the soft-edge point process has no point above T.
+
+    T may be a scalar (the result is a float) or an array.
+    """
+    def block(Tb):
+        return np.linalg.det(np.eye(m) - AiryDiscretization(Tb, m).kernel)
+
+    return _by_blocks(T, m, block)
 
 
-def _c_alpha_left(xi: np.ndarray, alpha: float) -> np.ndarray:
-    # exp(-a*xi) times the integral of Ai(u) e^{a u} up to xi; the integrand
-    # decays to the left for alpha > 0, so this route avoids the huge
-    # cancellation the right-integral identity suffers at large alpha.
-    out = np.empty_like(xi)
-    t, w = legendre_reference(1600)
-    for i, x in enumerate(xi):
-        umin = min(x, 0.0) - 50.0 / alpha
-        u = umin + 0.5 * (x - umin) * (t + 1.0)
-        ww = 0.5 * (x - umin) * w
-        ai_u, _ = airy_ai_pair(u)
-        out[i] = np.exp(-alpha * x) * np.dot(ww, ai_u * np.exp(alpha * u))
-    return out
+def _breakpoints(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Sorted points with every gap longer than _PANEL_LENGTH cut into equal
+    # panels; returns the refined grid and the positions of the points in it.
+    gaps = np.diff(points)
+    pieces = np.maximum(1, np.ceil(gaps / _PANEL_LENGTH)).astype(int)
+    first = np.cumsum(pieces) - pieces
+    offset = np.arange(pieces.sum()) - np.repeat(first, pieces)
+    grid = np.repeat(points[:-1], pieces) + offset * np.repeat(gaps / pieces, pieces)
+    return np.append(grid, points[-1]), np.append(first, pieces.sum())
 
 
-def c_alpha(xi, alpha: float, cross_check: bool = False) -> float | np.ndarray:
+def _panel_integrals(grid: np.ndarray, alpha: float, anchor: np.ndarray) -> np.ndarray:
+    # Integral of Ai(u) e^{alpha (u - anchor)} over each panel of the grid.
+    x, w = legendre_reference(_PANEL_NODES)
+    half = 0.5 * np.diff(grid)
+    u = grid[:-1, None] + half[:, None] * (x + 1.0)
+    ai, _ = airy_ai_pair(u)
+    return half * ((ai * np.exp(alpha * (u - anchor[:, None]))) @ w)
+
+
+def _recurrence(factors: np.ndarray, panels: np.ndarray) -> np.ndarray:
+    # s_0 = 0 and s_{i+1} = factors_i s_i + panels_i
+    acc = accumulate(zip(factors.tolist(), panels.tolist()),
+                     lambda s, fp: fp[0] * s + fp[1], initial=0.0)
+    return np.fromiter(acc, float, panels.size + 1)
+
+
+def c_alpha(xi, alpha: float) -> float | np.ndarray:
     """Deformation profile entering the critical edge law.
 
-    Evaluated through real-integral identities (route split at alpha = 1
-    for numerical stability).  With ``cross_check`` the complex contour
-    route must agree to 1e-5.
+    One cumulative sum over the sorted xi of Ai(u) e^{alpha u}, integrated
+    panel by panel between consecutive xi.  For alpha <= 1 the profile is
+    e^{alpha^3/3 - alpha xi} minus the integral right of xi, accumulated from
+    the right.  For alpha > 1, where that difference cancels, it is the
+    integral left of xi, accumulated from max(min xi - 50/alpha, -50); Ai(u)
+    e^{alpha u} < 1e-22 left of that point.
     """
     _check_alpha(alpha)
-    arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    arr = np.asarray(xi, dtype=float)
     if np.any(arr < _WINDOW_LEFT):
         raise ValueError("profile evaluated below the supported window")
-    vals = _c_alpha_right(arr, alpha) if alpha <= 1.0 else _c_alpha_left(arr, alpha)
-    if cross_check:
-        ref = np.array([c_alpha_contour(x, alpha) for x in arr])
-        worst = np.max(np.abs(vals - ref))
-        if worst > 1e-5:
-            raise RuntimeError(f"contour cross-check diverged: {worst:.2e}")
-    return float(vals[0]) if np.isscalar(xi) else vals
+    pts, where = np.unique(arr, return_inverse=True)
+    if alpha > 1.0:
+        lo = max(pts[0] - 50.0 / alpha, -ENVELOPE_RADIUS)
+        grid, pos = _breakpoints(np.concatenate(([lo], pts)))
+        panels = _panel_integrals(grid, alpha, grid[1:])
+        # left to right: S(u_{i+1}) = e^{-alpha h_i} S(u_i) + panel_i
+        vals = _recurrence(np.exp(-alpha * np.diff(grid)), panels)[pos[1:]]
+    else:
+        ends = pts if pts[-1] >= _TAIL_END else np.append(pts, _TAIL_END)
+        grid, pos = _breakpoints(ends)
+        panels = _panel_integrals(grid, alpha, grid[:-1])
+        # right to left: R(u_i) = e^{alpha h_i} R(u_{i+1}) + panel_i
+        right = _recurrence(np.exp(alpha * np.diff(grid))[::-1], panels[::-1])[::-1]
+        vals = np.exp(alpha ** 3 / 3.0 - alpha * pts) - right[pos[:pts.size]]
+    out = vals[where].reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 def c_alpha_contour(xi: float, alpha: float, radius: float = 30.0, m: int = 700) -> float:
@@ -166,8 +218,6 @@ def c_alpha_contour(xi: float, alpha: float, radius: float = 30.0, m: int = 700)
     the origin; when the integrand pole sits below that contour (alpha < 0)
     the crossing residue exp(alpha^3/3 - alpha*xi) is added.
     """
-    from .specialfn import ENVELOPE_RADIUS
-
     if radius > ENVELOPE_RADIUS:
         raise ValueError("contour radius beyond the Airy accuracy envelope")
     delta = 0.5
@@ -186,21 +236,27 @@ def c_alpha_contour(xi: float, alpha: float, radius: float = 30.0, m: int = 700)
     return float(val.real)
 
 
-def f1(T: float, alpha: float, m: int = DEFAULT_NODES) -> float:
-    """Deformed critical edge law: f0 times (1 - <resolvent profile, Ai>)."""
-    _check_window(T, m)
+def f1(T, alpha: float, m: int = DEFAULT_NODES):
+    """Deformed critical edge law: f0 times (1 - <resolvent profile, Ai>).
+
+    T may be a scalar (the result is a float) or an array; every T of a
+    block shares one cumulative c_alpha over all its nodes.
+    """
     _check_alpha(alpha)
-    if T <= CDF_FLOOR:
-        return 0.0
-    disc = AiryDiscretization(T, m, L=_span_for(alpha))
-    det0 = float(np.linalg.det(np.eye(m) - disc.kernel))
-    rhs = disc.sqrt_w * c_alpha(disc.nodes, alpha)
-    cond = np.linalg.cond(np.eye(m) - disc.kernel)
-    if cond > 1e10:
-        raise RuntimeError(f"resolvent system ill-conditioned: cond = {cond:.2e}")
-    u = np.linalg.solve(np.eye(m) - disc.kernel, rhs)
-    inner = float(np.dot(disc.sqrt_w * disc.ai, u))
-    return det0 * (1.0 - inner)
+
+    def block(Tb):
+        disc = AiryDiscretization(Tb, m, L=_span_for(alpha))
+        system = np.eye(m) - disc.kernel
+        det0 = np.linalg.det(system)
+        rhs = disc.sqrt_w * c_alpha(disc.nodes, alpha)
+        cond = np.max(np.linalg.cond(system))
+        if cond > 1e10:
+            raise RuntimeError(f"resolvent system ill-conditioned: cond = {cond:.2e}")
+        u = np.linalg.solve(system, rhs[..., None])[..., 0]
+        inner = np.sum(disc.sqrt_w * disc.ai * u, axis=-1)
+        return det0 * (1.0 - inner)
+
+    return _by_blocks(T, m, block)
 
 
 # -- one-cut prefactors of the finite-size outer asymptotics ----------------
@@ -300,15 +356,15 @@ class LimitLaw:
         tv = np.atleast_1d(np.asarray(t, dtype=float))
         # f0 and f1 are 0 at the floor, so lifting t to it answers any t left of it.
         if self.kind == "F0":
-            out = np.array([f0(float(x), m) for x in np.maximum(tv, CDF_FLOOR)])
+            out = f0(np.maximum(tv, CDF_FLOOR), m)
         elif self.kind == "F1":
             # The deformed law for spike offset alpha is the profile-deformed
             # determinant at parameter -alpha.
-            out = np.array([f1(float(x), -self.alpha, m) for x in np.maximum(tv, CDF_FLOOR)])
+            out = f1(np.maximum(tv, CDF_FLOOR), -self.alpha, m)
         elif self.kind == "Gauss":
-            out = np.array([normal_cdf(float(x)) for x in tv])
+            out = normal_cdf(tv)
         elif self.kind == "GenGauss":
-            out = np.array([gen_gauss_cdf(float(x), self.order) for x in tv])
+            out = gen_gauss_cdf(tv, self.order)
         else:
             raise ValueError("mixtures have no single standardized variable; use cdf_lambda")
         return float(out[0]) if np.isscalar(t) else out

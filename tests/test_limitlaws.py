@@ -81,8 +81,24 @@ class TestDeformationProfile:
                 worst = max(worst, abs(a - b))
         assert worst < 1e-5
 
-    def test_cross_check_flag(self):
-        assert c_alpha(0.5, 0.7, cross_check=True) == pytest.approx(c_alpha(0.5, 0.7))
+    def test_contour_cross_check(self):
+        assert abs(c_alpha(0.5, 0.7) - c_alpha_contour(0.5, 0.7)) < 1e-5
+
+    def test_left_route_below_the_old_clamp(self):
+        # at alpha in (1, 1.136) the left integral starts below -50; it is
+        # clamped there, where Ai(u) e^{alpha u} < 1e-22
+        for xi in (-6.0, -3.0, 0.0, 2.0):
+            assert abs(c_alpha(xi, 1.05) - c_alpha_contour(xi, 1.05)) < 1e-12
+
+    def test_table_equals_pointwise(self):
+        # one cumulative sum over many xi gives what each xi gives alone, up
+        # to the cancellation in e^{alpha^3/3 - alpha xi} minus the right integral
+        xi = np.array([[3.0, -11.5, 0.25], [7.0, 0.25, -2.0]])
+        for alpha in (-2.0, 0.5, 2.0):
+            table = c_alpha(xi, alpha)
+            assert table.shape == xi.shape
+            alone = np.array([[c_alpha(float(x), alpha) for x in row] for row in xi])
+            assert np.max(np.abs(table - alone) / np.maximum(1.0, np.abs(alone))) < 1e-12
 
     def test_deformation_decays_at_large_alpha(self):
         xs = np.linspace(0.0, 5.0, 21)
@@ -155,6 +171,75 @@ class TestDeformedLaw:
                      lambda: f0(-10.0, 5), lambda: f1(-10.0, 0.0, 5)):
             with pytest.raises(ValueError):
                 call()
+
+
+# f0 and f1(T; alpha) at T = -6, -4, ..., 4 from the per-point Nystrom
+# solves and per-xi c_alpha routes these tables replaced
+PIN_T = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
+F0_PIN = (1.0622546742517583e-08, 0.0035445535955095863, 0.41322414250511241,
+          0.96937282835526117, 0.99988755369830928, 0.9999999504208783)
+F1_PIN = {
+    -1.5: (6.7930614879156568e-12, 2.3284739224077879e-07, 0.0017570057932852,
+           0.092191906172023899, 0.46749548036929095, 0.84172259570457453),
+    -1.0: (1.8880196976359023e-13, 2.6049884578570046e-06, 0.010508751827446969,
+           0.27539424097256815, 0.76850750822435732, 0.96954538296844239),
+    0.0: (7.3295813555226353e-12, 5.726975937555969e-05, 0.075251570981044347,
+          0.69207103061354547, 0.97930335269698865, 0.99955935957682696),
+    0.5: (2.8805876220758343e-11, 0.00014375486431950706, 0.12350268117111993,
+          0.80636906209844983, 0.99394783444295376, 0.99994926403052065),
+    1.0: (8.1050847855182316e-11, 0.00027746420881021868, 0.16964797712401239,
+          0.86864844488661241, 0.99781865750738841, 0.99999234898994904),
+    1.5: (1.7806189554890464e-10, 0.00044601676313609721, 0.20871365964760169,
+          0.90213818409582158, 0.99896446431576047, 0.99999820315941246),
+    4.0: (1.3049293796144651e-09, 0.0013238826137108061, 0.31119161645243631,
+          0.94845308689844221, 0.99973645404588518, 0.99999984334298686),
+}
+
+
+class TestBatchedTables:
+    def test_f0_pin_exact(self):
+        assert tuple(f0(T) for T in PIN_T) == F0_PIN
+        assert tuple(f0(np.array(PIN_T)).tolist()) == F0_PIN
+
+    def test_f1_pin(self):
+        for alpha, pin in F1_PIN.items():
+            assert np.max(np.abs(f1(np.array(PIN_T), alpha) - pin)) < 5e-12
+            assert max(abs(f1(T, alpha) - v) for T, v in zip(PIN_T, pin)) < 5e-12
+
+    def test_scalar_calls_return_float(self):
+        assert type(f0(0.0)) is float and type(f1(0.0, 0.5)) is float
+        assert type(c_alpha(0.0, 0.5)) is float
+        assert type(LimitLaw("F1", alpha=0.3).cdf_standard(0.0)) is float
+
+    def test_blocks_and_floor_per_element(self):
+        # more T than one stacked block, with the floor inside the table
+        ts = np.linspace(-10.0, 5.0, 150)
+        vals = f0(ts)
+        assert vals.shape == ts.shape
+        assert np.all(vals[ts <= CDF_FLOOR] == 0.0)
+        assert vals[-1] == f0(float(ts[-1]))
+        deformed = f1(ts.reshape(10, 15), 1.5)
+        assert deformed.shape == (10, 15)
+        assert np.all(np.diff(deformed.ravel()) >= -1e-10)
+        with pytest.raises(ValueError):
+            f0(np.array([0.0, -12.5]))
+        with pytest.raises(ValueError):
+            f1(np.array([0.0, 1.0]), -4.5)
+
+    @pytest.mark.parametrize("alpha", [-1.05, -1.12])
+    def test_f1_low_band_answers(self, alpha):
+        vals = LimitLaw("F1", alpha=alpha).cdf_standard(np.linspace(-6.0, 4.0, 41))
+        assert np.all(np.isfinite(vals))
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert np.all(np.diff(vals) >= -1e-9)
+
+    def test_gaussian_tables(self):
+        ts = np.linspace(-4.0, 4.0, 9)
+        gauss = LimitLaw("Gauss").cdf_standard(ts)
+        assert np.max(np.abs(gauss - [0.5 * math.erfc(-t / math.sqrt(2.0)) for t in ts])) < 1e-15
+        flat = LimitLaw("GenGauss", order=2).cdf_standard(ts)
+        assert flat[4] == 0.5 and np.all(np.diff(flat) >= 0)
+        assert np.max(np.abs(flat + flat[::-1] - 1.0)) < 1e-15
 
 
 def _critical_parts(eq, a_c):
