@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyder
 
-from .potential import Potential
+from .potential import Potential, horner
 from .specialfn import legendre_reference
 
 __all__ = [
@@ -126,20 +126,27 @@ class EquilibriumData:
     _theta_w: np.ndarray = field(default=None, repr=False)
     _s: np.ndarray = field(default=None, repr=False)
     _dens: np.ndarray = field(default=None, repr=False)
-    _h_prime: np.ndarray = field(default=None, repr=False)
+    _h: tuple = field(default=None, repr=False)
+    _h_prime: tuple = field(default=None, repr=False)
+    # phase data of this equilibrium (a_c and the phase diagram), filled in
+    # once by ``transition`` and dropped with the instance
+    _a_c: float = field(default=None, repr=False)
+    _diagram: object = field(default=None, repr=False)
 
     def __post_init__(self):
+        # coefficient tuples of h and h' for ``horner``, built once
+        self._h = tuple(np.asarray(self.h_coeffs, dtype=float).tolist())
+        self._h_prime = tuple(polyder(self._h).tolist())
         t, w = legendre_reference(_THETA_NODES)
         th = 0.5 * np.pi * (t + 1.0)
         self._theta_w = 0.5 * np.pi * w
         mid = 0.5 * (self.b0 + self.a1)
         rad = 0.5 * (self.a1 - self.b0)
         self._s = mid + rad * np.cos(th)
-        hvals = np.polynomial.Polynomial(self.h_coeffs)(self._s)
+        hvals = horner(self._h, self._s)
         # density times the Jacobian of s = mid + rad*cos(theta): the two
         # square roots combine into (rad*sin(theta))^2.
         self._dens = hvals * (rad * np.sin(th)) ** 2 / (2.0 * np.pi)
-        self._h_prime = polyder(self.h_coeffs)
         self.ell = 2.0 * self._g0(self.a1) - self.V.eval(self.a1)
         self.beta = edge_beta(self)
 
@@ -175,28 +182,34 @@ class EquilibriumData:
         # the hot paths.
         from scipy.integrate import quad
 
-        h = np.polynomial.Polynomial(self.h_coeffs)
         def integrand(s):
-            return math.log(abs(x - s)) * h(s) * math.sqrt(max((s - self.b0) * (self.a1 - s), 0.0)) / (2.0 * np.pi)
+            return (math.log(abs(x - s)) * horner(self._h, s)
+                    * math.sqrt(max((s - self.b0) * (self.a1 - s), 0.0)) / (2.0 * np.pi))
         val, _ = quad(integrand, self.b0, self.a1, points=[x], limit=200)
         return val
 
     def g_deriv(self, z, m: int):
-        """m-th derivative (m >= 1) of the log-potential at a point or array z > a1."""
-        zv = np.asarray(z, dtype=float)
-        if np.any(zv <= self.a1):
+        """m-th derivative (m >= 1) of the log-potential at a point or array z > a1.
+
+        For m = 1 and 2 a Python float z is evaluated in Python floats, with
+        the same operations as the array route.
+        """
+        scalar = isinstance(z, (float, int))
+        zv = float(z) if scalar else np.asarray(z, dtype=float)
+        if zv <= self.a1 if scalar else np.any(zv <= self.a1):
             raise ValueError("derivatives are only evaluated right of the support")
-        S = np.sqrt((zv - self.b0) * (zv - self.a1))
-        if m == 1:
-            out = 0.5 * (self.V.eval(zv, 1) - polyval(zv, self.h_coeffs) * S)
-        elif m == 2:
-            Rp = 2.0 * zv - self.b0 - self.a1
-            out = 0.5 * (self.V.eval(zv, 2) - polyval(zv, self._h_prime) * S
-                         - polyval(zv, self.h_coeffs) * Rp / (2.0 * S))
-        else:
+        if m > 2:
             terms = self._dens / np.subtract.outer(zv, self._s) ** m
             out = (-1.0) ** (m - 1) * math.factorial(m - 1) * (terms @ self._theta_w)
-        return float(out) if zv.ndim == 0 else out
+            return float(out) if np.ndim(zv) == 0 else out
+        S = (math.sqrt if scalar else np.sqrt)((zv - self.b0) * (zv - self.a1))
+        if m == 1:
+            out = 0.5 * (self.V.eval(zv, 1) - horner(self._h, zv) * S)
+        else:
+            Rp = 2.0 * zv - self.b0 - self.a1
+            out = 0.5 * (self.V.eval(zv, 2) - horner(self._h_prime, zv) * S
+                         - horner(self._h, zv) * Rp / (2.0 * S))
+        return out if scalar or zv.ndim else float(out)
 
 
 def _off_cut_peaks(eq: EquilibriumData) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +254,7 @@ def solve_support(V: Potential, seeds=None) -> EquilibriumData:
         b0, a1 = float(root[0]), float(root[1])
         h = _h_coefficients(V, b0, a1)
         grid = np.linspace(b0, a1, _GRID_POINTS)
-        hvals = np.polynomial.Polynomial(h)(grid)
+        hvals = horner(h, grid)
         if hvals[len(hvals) // 2] < 0:
             # Sign pinned by positivity at the midpoint of the support.
             h = -h
@@ -273,8 +286,7 @@ def density_psi(eq: EquilibriumData, x) -> float:
     xv = np.asarray(x, dtype=float)
     if np.any(xv < eq.b0) or np.any(xv > eq.a1):
         raise ValueError("density evaluated outside the support")
-    h = np.polynomial.Polynomial(eq.h_coeffs)
-    val = h(xv) * np.sqrt(np.maximum((xv - eq.b0) * (eq.a1 - xv), 0.0)) / (2.0 * np.pi)
+    val = horner(eq._h, xv) * np.sqrt(np.maximum((xv - eq.b0) * (eq.a1 - xv), 0.0)) / (2.0 * np.pi)
     return float(val) if np.isscalar(x) else val
 
 
@@ -292,7 +304,7 @@ def robin_constant(eq: EquilibriumData, consistency_tol: float = 1e-5) -> float:
 
 def edge_beta(eq: EquilibriumData) -> float:
     """Edge constant: (h(a1)/2)^(2/3) (a1-b0)^(1/3), positive for a regular edge."""
-    h_edge = float(np.polynomial.Polynomial(eq.h_coeffs)(eq.a1))
+    h_edge = horner(eq._h, float(eq.a1))
     if h_edge <= 0:
         raise NotOneCutError("prefactor vanishes at the upper edge; edge is not regular")
     return (0.5 * h_edge) ** (2.0 / 3.0) * (eq.a1 - eq.b0) ** (1.0 / 3.0)
@@ -316,7 +328,7 @@ def check_regular(eq: EquilibriumData) -> RegularityReport:
     rounding bound that ``solve_support`` applies.
     """
     grid = np.linspace(eq.b0, eq.a1, 200)
-    h_min = float(np.polynomial.Polynomial(eq.h_coeffs)(grid).min())
+    h_min = float(horner(eq._h, grid).min())
     xs, vals = _off_cut_peaks(eq)
 
     def worst(side: np.ndarray) -> tuple[float, float]:

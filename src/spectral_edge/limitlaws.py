@@ -30,11 +30,11 @@ from .specialfn import (
 )
 from .transition import (
     G_fn,
-    _switches,
     convex_type,
     critical_a,
     fluct_scale,
     maximizer_set,
+    phase_diagram,
     scan,
 )
 
@@ -215,8 +215,8 @@ def c_alpha_contour(xi: float, alpha: float, radius: float = 30.0, m: int = 700)
     """Contour-integral route for the deformation profile.
 
     Rays toward infinity at angles 5*pi/6 and pi/6 from a vertex just below
-    the origin; when the integrand pole sits below that contour (alpha < 0)
-    the crossing residue exp(alpha^3/3 - alpha*xi) is added.
+    the origin; when the integrand pole z = i*alpha sits below that vertex
+    (alpha < -0.5) the crossing residue exp(alpha^3/3 - alpha*xi) is added.
     """
     if radius > ENVELOPE_RADIUS:
         raise ValueError("contour radius beyond the Airy accuracy envelope")
@@ -231,7 +231,7 @@ def c_alpha_contour(xi: float, alpha: float, radius: float = 30.0, m: int = 700)
         f = np.exp(1j * zs ** 3 / 3.0 + 1j * xi * zs) / (alpha + 1j * zs)
         total += sign * np.exp(1j * ang) * np.dot(rw, f)
     val = total / (2.0 * math.pi)
-    if alpha < 0:
+    if alpha < -delta:
         val = val + math.exp(alpha ** 3 / 3.0 - alpha * xi)
     return float(val.real)
 
@@ -441,7 +441,9 @@ def predict_law(eq: EquilibriumData, a: float, n: int, j: int = 1,
     critical value, resolve to mixture laws (whose weights saturate beyond
     that window); spikes within 1.5 critical-scale units of a convex-type
     critical value resolve to the deformed edge law; everything else is the
-    bulk-edge law below and the outlier law above.
+    bulk-edge law below and the outlier law above.  Secondary critical
+    values come from the phase diagram of eq, computed once per equilibrium,
+    so a generic supercritical query costs one scan.
     """
     if a_c is None:
         a_c = critical_a(eq)
@@ -464,9 +466,12 @@ def predict_law(eq: EquilibriumData, a: float, n: int, j: int = 1,
     if a < a_c:
         return _edge_law(eq, "F0")
 
-    # Supercritical side: look for a nearby secondary critical value.
+    # Supercritical side: look up a nearby secondary critical value.
     span = _MIXTURE_ALPHA_WINDOW / n + 1.0 / math.sqrt(n)
-    for a0, s0 in _switches(eq, max(a - span, a_c + 1e-6), a + span):
+    lo, hi = max(a - span, a_c + 1e-6), a + span
+    for a0, s0 in phase_diagram(eq).switches:
+        if not lo <= a0 <= hi:
+            continue
         maxima = maximizer_set(eq, a0, tie_tol=1e-6, s=s0)
         if len(maxima) < 2:
             continue

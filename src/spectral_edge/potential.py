@@ -4,13 +4,27 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Potential", "SpikeConfig", "eynard_potential", "load_potential"]
+__all__ = ["Potential", "SpikeConfig", "eynard_potential", "horner", "load_potential"]
 
 MAX_DEGREE = 16
+
+
+def horner(coeffs, x):
+    """Polynomial with monomial coefficients ``coeffs`` at x.
+
+    The operations and their order are numpy ``polyval``'s, so values are
+    bit-identical to it; a Python float x stays a Python float and never
+    goes through numpy, which makes scalar root searches cheap.
+    """
+    out = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * x
+    return out
 
 
 @dataclass(frozen=True)
@@ -43,15 +57,24 @@ class Potential:
         for arr in derivs:
             arr.setflags(write=False)
         object.__setattr__(self, "_derivs", tuple(derivs))
+        object.__setattr__(self, "_horner", tuple(tuple(arr.tolist()) for arr in derivs))
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
+    @cached_property
+    def vpp_real_roots(self) -> tuple[float, ...]:
+        """Real roots of V'' (imaginary part below 1e-9), computed on first use."""
+        roots = np.polynomial.Polynomial(self._derivs[2]).roots()
+        return tuple(float(r.real) for r in roots if abs(r.imag) < 1e-9)
+
     def eval(self, x, k: int = 0):
         """Value (k=0) or k-th derivative of the polynomial at x."""
-        out = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float),
-                                               self.deriv_coefficients(k))
+        self.deriv_coefficients(k)          # rejects an order outside 0..degree
+        if isinstance(x, (float, int)):
+            return horner(self._horner[k], float(x))
+        out = horner(self._horner[k], np.asarray(x, dtype=float))
         return float(out) if np.isscalar(x) else out
 
     def deriv_coefficients(self, k: int = 1) -> np.ndarray:

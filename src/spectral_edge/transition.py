@@ -19,6 +19,14 @@ right of the edge e, g' = (V' - h sqrt((x - b0)(x - e))) / 2:
   (dx_k/da = 1/(-G'') > 0) and x0(a) is nondecreasing, so on a grid cell
   (a_i, a_{i+1}] the leader x_A is the first maximum right of x0(a_i) and the
   challenger x_B the last maximum left of x0(a_{i+1}).
+
+Switches need two local maxima of G, which exist only for tilts in the band
+of ``switch_band``: G' = a - W with W = V' - g', and every extremum of W lies
+between the edge and the largest real root of V''.  A potential without a
+band (every convex V) has no switch and is never scanned for one.  The
+phase diagram (a_c and every switch above it, searched on the band) is
+computed once per equilibrium and kept on it; ``secondary_criticals`` and
+``predict_law`` read it.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from .potential import derivative_or_zero
 __all__ = [
     "G_fn",
     "H_fn",
+    "PhaseDiagram",
     "Scan",
     "c_of_a",
     "convex_type",
@@ -43,9 +52,11 @@ __all__ = [
     "fluct_scale",
     "in_A_V",
     "maximizer_set",
+    "phase_diagram",
     "scan",
     "scan_upper_bound",
     "secondary_criticals",
+    "switch_band",
     "x0_of",
 ]
 
@@ -54,6 +65,7 @@ _C_MAX_OFFSET = 1e6
 _FLAT_TOL = 1e-6
 _DETACH_TOL = 1e-12     # phi must beat this for detachment to count
 _ROOT_TOL = 1e-15       # brentq xtol for every root
+_A_LO = 1e-4            # default lower bracket of the a_c search
 
 
 def c_of_a(eq: EquilibriumData, a: float) -> float:
@@ -98,9 +110,7 @@ def scan_upper_bound(eq: EquilibriumData, a: float) -> float:
     while the field bound g'(x) <= 1/(x - a1) decreases, so once
     V'(X) > a + 1/(X - a1) the tilted potential can only fall.
     """
-    vpp_roots = np.polynomial.Polynomial(eq.V.deriv_coefficients(2)).roots()
-    real_roots = [r.real for r in vpp_roots if abs(r.imag) < 1e-9]
-    x_lo = max([eq.a1 + 1.0] + [r + 1.0 for r in real_roots])
+    x_lo = max([eq.a1 + 1.0] + [r + 1.0 for r in eq.V.vpp_real_roots])
     X = x_lo
     for _ in range(80):
         if eq.V.eval(X, 1) > a + 1.0 / (X - eq.a1) + 1e-9:
@@ -157,16 +167,33 @@ def in_A_V(eq: EquilibriumData, a: float) -> bool:
     return _phi(eq, a, scan(eq, a)) > _DETACH_TOL
 
 
-def critical_a(eq: EquilibriumData, a_lo: float = 1e-4) -> float:
-    """Infimum spike strength at which detachment wins: the root of phi - 1e-12."""
+def critical_a(eq: EquilibriumData, a_lo: float = _A_LO) -> float:
+    """Infimum spike strength at which detachment wins: the root of phi - 1e-12.
+
+    With the default lower bracket the value is computed once per
+    equilibrium and kept on it.
+    """
+    if a_lo == _A_LO and eq._a_c is not None:
+        return eq._a_c
     half_vp = 0.5 * eq.V.eval(eq.a1, 1)
-    excess = lambda a: _phi(eq, a, scan(eq, a)) - _DETACH_TOL  # noqa: E731
+    seen = {}
+
+    def excess(a):
+        # brentq evaluates the two bracket ends again; each tilt is scanned once
+        if a not in seen:
+            seen[a] = _phi(eq, a, scan(eq, a)) - _DETACH_TOL
+        return seen[a]
+
     if excess(a_lo) > 0:
         raise ValueError("a_lo too large: detachment already favourable at the lower bracket")
     if excess(half_vp) <= 0:
         # Convex-type potential: the critical value is the edge slope itself.
-        return half_vp
-    return brentq(excess, a_lo, half_vp, xtol=_ROOT_TOL)
+        a_c = half_vp
+    else:
+        a_c = brentq(excess, a_lo, half_vp, xtol=_ROOT_TOL)
+    if a_lo == _A_LO:
+        eq._a_c = a_c
+    return a_c
 
 
 def convex_type(eq: EquilibriumData, a_c: float) -> bool:
@@ -210,6 +237,67 @@ def x0_of(eq: EquilibriumData, a: float) -> float:
     return scan(eq, a).best()[0]
 
 
+def switch_band(eq: EquilibriumData) -> tuple[float, float] | None:
+    """Smallest interval of tilts a holding every a at which G has two local
+    maxima right of the edge, or None when G never has two.
+
+    G' = a - W with W = V' - g', so the local maxima of G are where W crosses
+    the level a upward.  Right of the edge g'' < 0, so W increases wherever
+    V'' >= 0 and every local extremum of W lies in (e, r], r the largest
+    real root of V''.  W rises from W(e) = V'(e)/2 to its first maximum,
+    from each minimum to the next maximum, and from its last minimum on; a
+    level crossed upward twice lies in two of these rising runs.  The
+    extrema are the sign changes of W' = V'' - g'' on a fine grid of (e, r],
+    each refined by brentq.
+    """
+    roots = [r for r in eq.V.vpp_real_roots if r > eq.a1]
+    if not roots:
+        return None
+    lo, hi = eq.a1, max(roots)
+    # W' -> +infinity at the edge (g'' has an inverse square-root
+    # singularity), so log-spaced points hug the left end
+    xs = lo + np.logspace(-9, math.log10(hi - lo), 400)
+    xs = np.unique(np.concatenate([xs, np.linspace(lo, hi, 4000)[1:]]))
+
+    def dW(x):
+        return eq.V.eval(x, 2) - eq.g_deriv(x, 2)
+
+    d = dW(xs)
+    turns = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
+    x_ext = [brentq(dW, xs[i], xs[i + 1], xtol=_ROOT_TOL) for i in turns]
+    # W' > 0 at both ends, so the extrema alternate maximum, minimum, ...
+    ends = ([0.5 * eq.V.eval(eq.a1, 1)] + [eq.V.eval(x, 1) - eq.g_deriv(x, 1) for x in x_ext]
+            + [math.inf])
+    runs = list(zip(ends[::2], ends[1::2]))
+    overlaps = [(max(r[0], t[0]), min(r[1], t[1])) for i, r in enumerate(runs)
+                for t in runs[i + 1:]]
+    overlaps = [(a, b) for a, b in overlaps if a < b]
+    if not overlaps:
+        return None
+    return min(a for a, _ in overlaps), max(b for _, b in overlaps)
+
+
+@dataclass(frozen=True)
+class PhaseDiagram:
+    """Phase data of one equilibrium: the critical value a_c and every switch
+    of the global maximizer of G above it as (a*, scan at a*), in increasing
+    a*."""
+
+    a_c: float
+    switches: tuple
+
+
+def phase_diagram(eq: EquilibriumData) -> PhaseDiagram:
+    """The phase diagram of eq, computed on first use and kept on eq."""
+    if eq._diagram is None:
+        a_c = critical_a(eq)
+        band = switch_band(eq)
+        # no switch outside the band: only its part above a_c is searched
+        switches = () if band is None else tuple(_switches(eq, max(band[0], a_c + 1e-6), band[1]))
+        eq._diagram = PhaseDiagram(a_c, switches)
+    return eq._diagram
+
+
 def _switches(eq: EquilibriumData, a_lo: float, a_hi: float) -> list[tuple[float, Scan]]:
     """(a*, scan at a*) for each switch of the global maximizer in [a_lo, a_hi].
 
@@ -240,8 +328,9 @@ def _switches(eq: EquilibriumData, a_lo: float, a_hi: float) -> list[tuple[float
 
 
 def secondary_criticals(eq: EquilibriumData, a_lo: float, a_hi: float) -> list[float]:
-    """Spike strengths in [a_lo, a_hi] where the global maximizer of G switches."""
-    return [a for a, _ in _switches(eq, a_lo, a_hi)]
+    """Spike strengths in [a_lo, a_hi], above a_c, where the global maximizer
+    of G switches; read from the phase diagram of eq."""
+    return [a for a, _ in phase_diagram(eq).switches if a_lo <= a <= a_hi]
 
 
 def fluct_scale(eq: EquilibriumData, a: float, x_star: float, k: int = 1) -> float:

@@ -84,6 +84,13 @@ class TestDeformationProfile:
     def test_contour_cross_check(self):
         assert abs(c_alpha(0.5, 0.7) - c_alpha_contour(0.5, 0.7)) < 1e-5
 
+    @pytest.mark.parametrize("alpha", [-0.7, -0.55, -0.45, -0.3, -0.1])
+    def test_contour_residue_only_below_the_vertex(self, alpha):
+        # the pole z = i alpha crosses the contour (vertex -0.5i) only for
+        # alpha < -0.5; above that the residue must not be added
+        for xi in (-3.0, 0.0, 2.0):
+            assert abs(c_alpha(xi, alpha) - c_alpha_contour(xi, alpha)) < 1e-10
+
     def test_left_route_below_the_old_clamp(self):
         # at alpha in (1, 1.136) the left integral starts below -50; it is
         # clamped there, where Ai(u) e^{alpha u} < 1e-22
@@ -349,23 +356,35 @@ class TestPredictLaw:
         centers = [comp.center for _, comp in law.components]
         assert centers[0] < 6.0 < centers[1]
 
-    def test_secondary_query_scans_each_tilt_once(self, eq_shelf, monkeypatch):
+    def test_secondary_query_scans_each_tilt_once(self, shelf_pot, monkeypatch):
+        # On a freshly solved equilibrium the phase diagram scans no tilt
+        # twice.  After it, a query scans at most its own tilt or a_c: a Gauss
+        # query exactly once, a critical mixture at most once and a
+        # secondary-critical mixture not at all.
         from spectral_edge import limitlaws, transition
-        from spectral_edge.transition import secondary_criticals
-        a_c = critical_a(eq_shelf)
-        a0 = secondary_criticals(eq_shelf, 1.35, 1.95)[0]
+        from spectral_edge.equilibrium import solve_support
+        eq = solve_support(shelf_pot, seeds=[(-2.0, 2.0)])
         seen = []
         real_scan = transition.scan
 
         def counting_scan(eq, a):
-            seen.append((id(eq), a))
+            seen.append(a)
             return real_scan(eq, a)
 
         monkeypatch.setattr(transition, "scan", counting_scan)
-        monkeypatch.setattr(limitlaws, "scan", counting_scan, raising=False)
-        law = predict_law(eq_shelf, a0 + 2.0 / 400, 400, a_c=a_c)
-        assert law.kind == "Mixture"
+        monkeypatch.setattr(limitlaws, "scan", counting_scan)
+        diagram = transition.phase_diagram(eq)
         assert len(seen) > 0 and len(set(seen)) == len(seen)
+        (a0, _), = diagram.switches
+        n = 400
+        for a, kinds, scans in ((a0 + 2.0 / n, ["Gauss", "Gauss"], [0]),
+                                (diagram.a_c + 2.0 / n, ["F0", "Gauss"], [0, 1]),
+                                (a0 + 0.5, ["Gauss"], [1])):
+            seen.clear()
+            law = predict_law(eq, a, n, a_c=diagram.a_c)
+            comps = [c for _, c in law.components] if law.kind == "Mixture" else [law]
+            assert [c.kind for c in comps] == kinds
+            assert len(seen) in scans
 
     def test_law_cdf_monotone(self, eq_eynard):
         ace = critical_a(eq_eynard)

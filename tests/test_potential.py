@@ -14,6 +14,7 @@ from spectral_edge.potential import (
     SpikeConfig,
     eynard_companion_root,
     eynard_potential,
+    horner,
     load_potential,
 )
 
@@ -55,6 +56,35 @@ class TestEval:
             for xi in x[:50].tolist():
                 val = V.eval(xi, k)
                 assert type(val) is float and val == ref(xi)
+
+
+class TestHorner:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=17),
+           st.lists(st.floats(min_value=-8.0, max_value=8.0), min_size=1, max_size=20))
+    def test_bit_identical_to_polyval(self, coeffs, xs):
+        # every derivative order, on Python floats, 0-d arrays and arrays
+        polyval = np.polynomial.polynomial.polyval
+        c = np.array(coeffs)
+        for k in range(len(coeffs)):
+            ck = np.polynomial.polynomial.polyder(c, k) if k else c
+            tup = tuple(ck.tolist())
+            arr = np.array(xs)
+            assert np.array_equal(horner(tup, arr), polyval(arr, ck), equal_nan=True)
+            for x in xs:
+                val = horner(tup, x)
+                assert type(val) is float
+                assert np.array_equal(val, polyval(x, ck), equal_nan=True)
+                assert np.array_equal(horner(tup, np.array(x)), polyval(np.array(x), ck),
+                                      equal_nan=True)
+
+    def test_potential_and_field_use_it(self, eq_shelf):
+        # Potential.eval and g' / g'' give the same bits on floats and arrays
+        xs = np.linspace(eq_shelf.a1 + 1e-3, 9.0, 301)
+        for k in (1, 2):
+            arr_v, arr_g = eq_shelf.V.eval(xs, k), eq_shelf.g_deriv(xs, k)
+            assert [eq_shelf.V.eval(x, k) for x in xs.tolist()] == arr_v.tolist()
+            assert [eq_shelf.g_deriv(x, k) for x in xs.tolist()] == arr_g.tolist()
 
 
 class TestAdmissibility:

@@ -17,9 +17,11 @@ from spectral_edge.transition import (
     fluct_scale,
     in_A_V,
     maximizer_set,
+    phase_diagram,
     scan,
     scan_upper_bound,
     secondary_criticals,
+    switch_band,
     x0_of,
 )
 
@@ -212,7 +214,9 @@ class TestCriticalValue:
         a_c = critical_a(eq)
         assert abs(closed_form_critical_a(eq, a_c) - a_c) < 1e-10
 
-    def test_eynard_root_takes_few_scans(self, eq_eynard, monkeypatch):
+    def test_eynard_root_takes_few_scans(self, eynard_pot, monkeypatch):
+        # a fresh equilibrium: the session one may already hold its a_c
+        eq = solve_support(eynard_pot)
         seen = []
         real_scan = transition.scan
 
@@ -221,8 +225,13 @@ class TestCriticalValue:
             return real_scan(eq, a)
 
         monkeypatch.setattr(transition, "scan", counting_scan)
-        critical_a(eq_eynard)
-        assert len(seen) <= 20
+        a_c = critical_a(eq)
+        assert 0 < len(seen) <= 20
+        # computed once per equilibrium: a second call scans nothing
+        seen.clear()
+        assert critical_a(eq) == a_c and seen == []
+        # an explicit lower bracket searches afresh and finds the same root
+        assert abs(critical_a(eq, a_lo=1e-3) - a_c) < 1e-12 and len(seen) > 0
 
 
 class TestMaximizers:
@@ -295,6 +304,19 @@ class TestSecondaryCriticals:
         # the global maximizer genuinely jumps across a0
         assert x0_of(eq_shelf, a0 - 1e-4) < 6.0 < x0_of(eq_shelf, a0 + 1e-4)
 
+    def test_one_value_for_every_range(self, eq_shelf):
+        # both ranges read the one switch of the phase diagram
+        a_c = critical_a(eq_shelf)
+        half = 0.5 * eq_shelf.V.eval(eq_shelf.a1, 1)
+        wide = secondary_criticals(eq_shelf, a_c + 1e-4, 3.0 * half)
+        narrow = secondary_criticals(eq_shelf, 1.35, 1.95)
+        assert wide == narrow == [phase_diagram(eq_shelf).switches[0][0]]
+
+    def test_range_reaching_below_a_c(self, eq_eynard):
+        # below a_c G may have no interior maximum at all; switches are only
+        # sought above a_c, and eynard(3, 0.02) has none there
+        assert secondary_criticals(eq_eynard, 0.2, 1.0) == []
+
     def test_tie_search_reports_both(self, eq_shelf):
         # tune the tilt until the top two maxima agree to below the tie
         # tolerance, then the maximizer set must contain both
@@ -314,6 +336,40 @@ class TestSecondaryCriticals:
         x1, x2 = tied[0][0], tied[1][0]
         assert x1 < x2
         assert abs(G_fn(eq_shelf, a_tie, x1) - G_fn(eq_shelf, a_tie, x2)) < 1e-9
+
+
+class TestSwitchBand:
+    def test_convex_potentials_have_none(self, eq_gue, eq_quartic):
+        assert switch_band(eq_gue) is None
+        assert switch_band(eq_quartic) is None
+        assert phase_diagram(eq_gue).switches == ()
+
+    def test_shelf_band_holds_the_switch(self, eq_shelf):
+        lo, hi = switch_band(eq_shelf)
+        assert lo < 1.6874607344 < hi
+
+    def test_band_bounds_the_two_maxima(self, eq_shelf, eq_eynard):
+        # inside the band the scan finds two local maxima of G at some
+        # tilts; just outside it never more than one
+        for eq in (eq_shelf, eq_eynard):
+            lo, hi = switch_band(eq)
+            inside = [len(scan(eq, a).maxima) for a in np.linspace(lo, hi, 12)[1:-1]]
+            assert max(inside) >= 2
+            for a in (lo - 1e-3, hi + 1e-3, hi + 0.5):
+                assert len(scan(eq, a).maxima) <= 1
+
+    def test_eynard_band_ends(self, eq_eynard):
+        # W = V' - g' rises from V'(e)/2 at the edge to one interior maximum,
+        # falls, and rises again: the band runs from V'(e)/2 to that maximum,
+        # found here on a dense grid
+        e = eq_eynard.a1
+        xs = np.linspace(e + 1e-6, e + 6.0, 200001)
+        W = eq_eynard.V.eval(xs, 1) - eq_eynard.g_deriv(xs, 1)
+        inner = W[1:-1]
+        peaks = inner[(inner > W[:-2]) & (inner > W[2:])]
+        lo, hi = switch_band(eq_eynard)
+        assert lo == 0.5 * eq_eynard.V.eval(e, 1)
+        assert len(peaks) == 1 and abs(peaks[0] - hi) < 1e-9
 
 
 class TestProfiles:
