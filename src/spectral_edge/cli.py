@@ -58,6 +58,9 @@ def _spike(args, a: float) -> SpikeConfig:
 
 
 def _t_grid(args) -> np.ndarray:
+    """The T grid of a command, validated before any work."""
+    if args.t_steps < 1:
+        raise InputError(f"{args.command}: T-steps = {args.t_steps} must be at least 1")
     return np.linspace(args.t_min, args.t_max, args.t_steps)
 
 
@@ -106,8 +109,11 @@ def cmd_critical(args) -> int:
 
 
 def cmd_law(args) -> int:
-    if not args.a_critical and args.a is None:
-        raise InputError("law requires --a or --a-critical")
+    if args.a_critical == (args.a is not None):
+        raise InputError("law requires exactly one of --a and --a-critical")
+    if args.alpha is not None and not args.a_critical:
+        raise InputError("law: --alpha offsets the spike from a_c and needs --a-critical")
+    ts = _t_grid(args)
     # under --a-critical the spike is derived from a_c, so only n and j are inputs
     _spike(args, 0.0 if args.a_critical else args.a)
     V = _potential(args)
@@ -124,7 +130,6 @@ def cmd_law(args) -> int:
     _write_manifest(out, "law", args)
     with open(out / "law.json", "w") as fh:
         json.dump(law.to_json(), fh, indent=2)
-    ts = _t_grid(args)
     if law.kind == "Mixture":
         lam = law.components[0][1].center + ts / (
             law.components[0][1].scale_const * args.n ** law.components[0][1].scale_exponent)
@@ -148,12 +153,12 @@ def cmd_gap(args) -> int:
     a = _spike(args, args.a if args.a is not None else 0.0).a
     if args.n > finitemodel.MAX_N:
         raise InputError(f"gap: n = {args.n} exceeds the determinant cap n <= {finitemodel.MAX_N}")
+    ts = _t_grid(args)
     V = _potential(args)
     out = _out_dir(args)
     eq = solve_support(V)
     ortho = finitemodel.build_ortho(V, args.n, args.n - args.j + 2, a_hint=a)
     sk = finitemodel.build_spiked(ortho, a, args.j)
-    ts = _t_grid(args)
     beta_n = eq.beta * args.n ** (2.0 / 3.0)
     rows = []
     for t in ts:
@@ -206,7 +211,6 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = _out_dir(args)
     with open(Path(args.law_dir) / "law.json") as fh:
         law_json = json.load(fh)
     law = limitlaws.LimitLaw.from_json(law_json)
@@ -222,15 +226,20 @@ def cmd_compare(args) -> int:
         report["ks_distance"] = ks
         report["ks_pass"] = bool(ks < args.ks_tol)
     if args.gap_dir:
-        with open(Path(args.gap_dir) / "gap.json") as fh:
-            t, thr, p = np.array(json.load(fh)["rows"], dtype=float).reshape(-1, 3).T
+        path = Path(args.gap_dir) / "gap.json"
+        with open(path) as fh:
+            rows = json.load(fh)["rows"]
+        if not rows:
+            raise InputError(f"compare: {path}: a gap table needs at least one row")
+        t, thr, p = np.array(rows, dtype=float).reshape(-1, 3).T
         if law.kind == "Mixture":
             ref = law.cdf_lambda(thr, _manifest(Path(args.gap_dir))["n"])
         else:
             ref = law.cdf_standard(t)
-        worst = float(np.max(np.abs(p - ref), initial=0.0))
+        worst = float(np.max(np.abs(p - ref)))
         report["max_gap_law_gap"] = worst
         report["gap_pass"] = bool(worst < args.gap_tol)
+    out = _out_dir(args)
     _write_manifest(out, "compare", args)
     with open(out / "compare.json", "w") as fh:
         json.dump(report, fh, indent=2)

@@ -128,8 +128,10 @@ class EquilibriumData:
     _dens: np.ndarray = field(default=None, repr=False)
     _h: tuple = field(default=None, repr=False)
     _h_prime: tuple = field(default=None, repr=False)
-    # phase data of this equilibrium (a_c and the phase diagram), filled in
-    # once by ``transition`` and dropped with the instance
+    # phase data of this equilibrium (the rising runs of V' - g', a_c and the
+    # phase diagram), filled in once by ``transition`` and dropped with the
+    # instance
+    _runs: tuple = field(default=None, repr=False)
     _a_c: float = field(default=None, repr=False)
     _diagram: object = field(default=None, repr=False)
 

@@ -472,12 +472,10 @@ def predict_law(eq: EquilibriumData, a: float, n: int, j: int = 1,
     for a0, s0 in phase_diagram(eq).switches:
         if not lo <= a0 <= hi:
             continue
-        maxima = maximizer_set(eq, a0, tie_tol=1e-6, s=s0)
-        if len(maxima) < 2:
-            continue
+        maxima = maximizer_set(eq, a0, tie_tol=1e-6, s=s0)   # exactly two at a switch
         # A flatter second maximizer carries n^(1/2 - 1/2k) more Laplace mass,
         # a shift of the tilt that is 0 when every order is 1.
-        (x1, _), (x2, k2) = maxima[:2]
+        (x1, _), (x2, k2) = maxima
         alpha_n = (a - a0) * n + (0.5 - 0.5 / k2) / (x2 - x1) * math.log(n)
         if abs(alpha_n) <= _MIXTURE_ALPHA_WINDOW:
             return _mixture(eq, maxima, alpha_n, a0, j)

@@ -7,26 +7,24 @@ critical spike strength is the infimum of a at which some G value beats the
 H minimum; secondary critical values are the strengths where the global
 maximizer of G jumps between locations.
 
-Every 1-D search is one ``brentq`` on a closed form with a known sign change;
-right of the edge e, g' = (V' - h sqrt((x - b0)(x - e))) / 2:
+Right of the edge e, G' = a - W with W = V' - g', g' = (V' - h sqrt((x - b0)(x - e))) / 2.
+There g'' < 0, so W' = V'' - g'' > 0 wherever V'' >= 0: every extremum of W
+lies in (e, r], r the largest real root of V''.  W rises from W(e) = V'(e)/2
+to its first maximum, from each minimum to the next maximum and from its last
+minimum on.  These rising runs, and the phase diagram (a_c and every switch
+above it), are found once per equilibrium and kept on it.  Every 1-D search
+is one ``brentq`` on a known sign change:
 * c(a) is the root of g' - a, which falls strictly from V'(e)/2 at the edge.
-* Each local maximum of G is a root of G' = g' - V' + a at a +/- sign change.
+* A local maximum of G is where W crosses the level a upward, so each rising
+  run holds at most one: the root of W - a on the run, clipped to the scan
+  window from the float after c(a) to the certified tail.
 * a_c is the root of phi(a) - 1e-12, phi = sup_{x >= c} G(x) - H(c): phi is
   continuous and increasing (phi' = x0 - c), so [a_lo, V'(e)/2] brackets it,
   and a_c = V'(e)/2 (convex type) when phi stays below the margin up to there.
-* A secondary value is a root of G(x_B(a)) - G(x_A(a)) for branches x_A < x_B
-  of local maxima (slope x_B - x_A > 0).  Branches only move right
-  (dx_k/da = 1/(-G'') > 0) and x0(a) is nondecreasing, so on a grid cell
-  (a_i, a_{i+1}] the leader x_A is the first maximum right of x0(a_i) and the
-  challenger x_B the last maximum left of x0(a_{i+1}).
-
-Switches need two local maxima of G, which exist only for tilts in the band
-of ``switch_band``: G' = a - W with W = V' - g', and every extremum of W lies
-between the edge and the largest real root of V''.  A potential without a
-band (every convex V) has no switch and is never scanned for one.  The
-phase diagram (a_c and every switch above it, searched on the band) is
-computed once per equilibrium and kept on it; ``secondary_criticals`` and
-``predict_law`` read it.
+* A switch of the global maximizer is a tie between the maxima x_i(a) < x_j(a)
+  of two runs i < j, at a tilt both runs cross: a root of
+  D(a) = G(x_j(a)) - G(x_i(a)).  G' vanishes at both, so D' = x_j - x_i > 0:
+  each pair of runs has at most one switch, and one run (every convex V) none.
 """
 
 from __future__ import annotations
@@ -119,6 +117,43 @@ def scan_upper_bound(eq: EquilibriumData, a: float) -> float:
     raise OverflowError("could not certify a decreasing tail for G")
 
 
+def _w(eq: EquilibriumData, x: float) -> float:
+    # W = V' - g', continuous at the edge, where it equals V'(e)/2
+    return eq.V.eval(x, 1) - eq.g_deriv(x, 1) if x > eq.a1 else 0.5 * eq.V.eval(eq.a1, 1)
+
+
+def _rising_runs(eq: EquilibriumData) -> tuple:
+    """The rising runs of W as (x_lo, x_hi, W(x_lo), W(x_hi)) in increasing x,
+    kept on eq.  The extrema of W are the sign changes of W' on a grid of
+    (e, r], refined by brentq; W' -> +infinity at the edge, so log-spaced
+    points hug it.  With no real root of V'' right of e there is no grid."""
+    if eq._runs is None:
+        roots = [r for r in eq.V.vpp_real_roots if r > eq.a1]
+        x_ext = []
+        if roots:
+            lo, hi = eq.a1, max(roots)
+            xs = lo + np.logspace(-9, math.log10(hi - lo), 400)
+            xs = np.unique(np.concatenate([xs, np.linspace(lo, hi, 4000)[1:]]))
+
+            def dW(x):
+                return eq.V.eval(x, 2) - eq.g_deriv(x, 2)
+
+            d = dW(xs)
+            turns = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
+            x_ext = [brentq(dW, xs[i], xs[i + 1], xtol=_ROOT_TOL) for i in turns]
+        # W' > 0 at both ends, so the extrema alternate maximum, minimum, ...
+        ends = [eq.a1] + x_ext + [math.inf]
+        levels = [_w(eq, x) for x in ends[:-1]] + [math.inf]
+        eq._runs = tuple(zip(ends[::2], ends[1::2], levels[::2], levels[1::2]))
+    return eq._runs
+
+
+def _crossing(eq: EquilibriumData, a: float, lo: float, hi: float) -> float:
+    # where W, rising on [lo, hi] with W(lo) <= a <= W(hi), takes the level a;
+    # at a run end whose kept level is a, W - a is exactly 0 and brentq returns it
+    return brentq(lambda x: _w(eq, x) - a, lo, hi, xtol=_ROOT_TOL)
+
+
 @dataclass(frozen=True)
 class Scan:
     """The G landscape at one tilt: c(a), H(c(a)) and the local maxima of G
@@ -136,24 +171,19 @@ class Scan:
 
 
 def scan(eq: EquilibriumData, a: float) -> Scan:
-    """c(a), H(c(a)) and every local maximum of G from c(a) to the certified tail."""
+    """c(a), H(c(a)) and every local maximum of G from c(a) to the certified tail.
+
+    Each rising run of W, clipped to [next float after c(a),
+    ``scan_upper_bound``], holds at most one: where G' = a - W falls through 0.
+    """
     c = c_of_a(eq, a)
-    lo, hi = c + 1e-9, scan_upper_bound(eq, a)
-
-    def dG(x):
-        return eq.g_deriv(x, 1) - eq.V.eval(x, 1) + a
-
-    # Linear grid over the scan window plus log-spaced points hugging the
-    # left end, where near-critical maximizers sit arbitrarily close to the
-    # H minimum; the first point is the float next to c(a).
-    xs = np.linspace(lo, hi, 3000)
-    near = lo + np.logspace(-9, math.log10(max(hi - lo, 1e-8)), 400)
-    xs = np.unique(np.concatenate([[np.nextafter(c, np.inf)], xs, near[near < hi]]))
-    d = dG(xs)
-    falls = np.flatnonzero((d[:-1] > 0) & (d[1:] <= 0))
-    x_max = np.array([brentq(dG, xs[i], xs[i + 1], xtol=_ROOT_TOL) for i in falls])
-    # The decreasing-tail certificate keeps every maximum inside the window.
-    maxima = tuple(zip(x_max.tolist(), G_fn(eq, a, x_max).tolist()))
+    lo, hi = math.nextafter(c, math.inf), scan_upper_bound(eq, a)
+    x_max = []
+    for x_lo, x_hi, w_lo, w_hi in _rising_runs(eq):
+        x_lo, x_hi = max(x_lo, lo), min(x_hi, hi)
+        if w_lo < a < w_hi and x_lo < x_hi and _w(eq, x_lo) < a <= _w(eq, x_hi):
+            x_max.append(_crossing(eq, a, x_lo, x_hi))
+    maxima = tuple(zip(x_max, G_fn(eq, a, np.array(x_max)).tolist()))
     return Scan(c, H_fn(eq, a, c), maxima)
 
 
@@ -237,44 +267,20 @@ def x0_of(eq: EquilibriumData, a: float) -> float:
     return scan(eq, a).best()[0]
 
 
+def _overlaps(runs: tuple, floor: float = -math.inf) -> list:
+    """(run i, run j, lo, hi) for each pair of runs i < j crossing every level
+    in (lo, hi), lo >= floor."""
+    pairs = [(r, t, max(r[2], t[2], floor), min(r[3], t[3])) for i, r in enumerate(runs)
+             for t in runs[i + 1:]]
+    return [p for p in pairs if p[2] < p[3]]
+
+
 def switch_band(eq: EquilibriumData) -> tuple[float, float] | None:
     """Smallest interval of tilts a holding every a at which G has two local
-    maxima right of the edge, or None when G never has two.
-
-    G' = a - W with W = V' - g', so the local maxima of G are where W crosses
-    the level a upward.  Right of the edge g'' < 0, so W increases wherever
-    V'' >= 0 and every local extremum of W lies in (e, r], r the largest
-    real root of V''.  W rises from W(e) = V'(e)/2 to its first maximum,
-    from each minimum to the next maximum, and from its last minimum on; a
-    level crossed upward twice lies in two of these rising runs.  The
-    extrema are the sign changes of W' = V'' - g'' on a fine grid of (e, r],
-    each refined by brentq.
-    """
-    roots = [r for r in eq.V.vpp_real_roots if r > eq.a1]
-    if not roots:
-        return None
-    lo, hi = eq.a1, max(roots)
-    # W' -> +infinity at the edge (g'' has an inverse square-root
-    # singularity), so log-spaced points hug the left end
-    xs = lo + np.logspace(-9, math.log10(hi - lo), 400)
-    xs = np.unique(np.concatenate([xs, np.linspace(lo, hi, 4000)[1:]]))
-
-    def dW(x):
-        return eq.V.eval(x, 2) - eq.g_deriv(x, 2)
-
-    d = dW(xs)
-    turns = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
-    x_ext = [brentq(dW, xs[i], xs[i + 1], xtol=_ROOT_TOL) for i in turns]
-    # W' > 0 at both ends, so the extrema alternate maximum, minimum, ...
-    ends = ([0.5 * eq.V.eval(eq.a1, 1)] + [eq.V.eval(x, 1) - eq.g_deriv(x, 1) for x in x_ext]
-            + [math.inf])
-    runs = list(zip(ends[::2], ends[1::2]))
-    overlaps = [(max(r[0], t[0]), min(r[1], t[1])) for i, r in enumerate(runs)
-                for t in runs[i + 1:]]
-    overlaps = [(a, b) for a, b in overlaps if a < b]
-    if not overlaps:
-        return None
-    return min(a for a, _ in overlaps), max(b for _, b in overlaps)
+    maxima right of the edge, or None when G never has two: each rising run
+    of W holds at most one, so the band is the hull of the levels two cross."""
+    spans = [(lo, hi) for _, _, lo, hi in _overlaps(_rising_runs(eq))]
+    return (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else None
 
 
 @dataclass(frozen=True)
@@ -291,40 +297,32 @@ def phase_diagram(eq: EquilibriumData) -> PhaseDiagram:
     """The phase diagram of eq, computed on first use and kept on eq."""
     if eq._diagram is None:
         a_c = critical_a(eq)
-        band = switch_band(eq)
-        # no switch outside the band: only its part above a_c is searched
-        switches = () if band is None else tuple(_switches(eq, max(band[0], a_c + 1e-6), band[1]))
-        eq._diagram = PhaseDiagram(a_c, switches)
+        eq._diagram = PhaseDiagram(a_c, tuple(_switches(eq, a_c + 1e-6)))
     return eq._diagram
 
 
-def _switches(eq: EquilibriumData, a_lo: float, a_hi: float) -> list[tuple[float, Scan]]:
-    """(a*, scan at a*) for each switch of the global maximizer in [a_lo, a_hi].
+def _switches(eq: EquilibriumData, a_lo: float) -> list[tuple[float, Scan]]:
+    """(a*, scan at a*) for each switch of the global maximizer above a_lo.
 
-    A cell of a 60-point grid holds a switch when its right leader is not the
-    first maximum right of its left leader; x_A and x_B (module docstring) are
-    taken to live across the cell.  Every tilt is scanned once.
+    A pair of runs i < j switches at the root of the increasing
+    D(a) = G(x_j(a)) - G(x_i(a)) on the levels both cross; the root counts
+    when the two maxima are the global ones there.
     """
-    if not a_hi > a_lo:
-        return []
-    avals = np.linspace(a_lo, a_hi, 60).tolist()
-    scans = [scan(eq, a) for a in avals]
     out = []
-    for i in range(len(avals) - 1):
-        x_lo, x_hi = scans[i].best()[0], scans[i + 1].best()[0]
-        if next(x for x, _ in scans[i + 1].maxima if x >= x_lo) == x_hi:
-            continue
-        seen = {avals[i]: scans[i], avals[i + 1]: scans[i + 1]}
-
+    for r_i, r_j, lo, hi in _overlaps(_rising_runs(eq), a_lo):
         def gap(a):
-            if a not in seen:
-                seen[a] = scan(eq, a)
-            window = [v for x, v in seen[a].maxima if x_lo <= x <= x_hi]
-            return window[-1] - window[0]
+            # W > a past the certified tail, which bounds the last run
+            tail = scan_upper_bound(eq, a)
+            x_i, x_j = (_crossing(eq, a, r[0], min(r[1], tail)) for r in (r_i, r_j))
+            return G_fn(eq, a, x_j) - G_fn(eq, a, x_i)
 
-        a_star = brentq(gap, avals[i], avals[i + 1], xtol=_ROOT_TOL)
-        out.append((a_star, seen[a_star]))
-    return out
+        if not gap(lo) < 0 < gap(hi):
+            continue
+        a_star = brentq(gap, lo, hi, xtol=_ROOT_TOL)
+        s = scan(eq, a_star)
+        if len(maximizer_set(eq, a_star, tie_tol=1e-6, s=s)) == 2:
+            out.append((a_star, s))
+    return sorted(out, key=lambda t: t[0])
 
 
 def secondary_criticals(eq: EquilibriumData, a_lo: float, a_hi: float) -> list[float]:

@@ -252,7 +252,10 @@ class TestSpikeValidation:
         (["gap", "--j", "0"], "j = 0"),
         (["montecarlo", "--n", "0"], "n = 0"),
         (["law", "--a", "-0.5"], "a = -0.5"),
-    ], ids=["gap-j30", "gap-j0", "montecarlo-n0", "law-negative-a"])
+        (["law", "--a", "1.7", "--a-critical", "--alpha", "0.5"], "exactly one of --a and --a-critical"),
+        (["law", "--a", "0.5", "--alpha", "0.7"], "--alpha offsets the spike from a_c"),
+    ], ids=["gap-j30", "gap-j0", "montecarlo-n0", "law-negative-a", "law-a-and-a-critical",
+            "law-alpha-without-a-critical"])
     def test_bad_spike_is_input_error(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
         assert run([*argv, "--potential", "gue", "--out", str(out)]) == 2
@@ -281,6 +284,35 @@ class TestSpikeValidation:
                     "--out", str(tmp_path / "cmp")]) == 2
         err = capsys.readouterr().err
         assert "samples.csv" in err and "at least one draw" in err
+
+    @pytest.mark.parametrize("argv, steps", [
+        (["law", "--a", "2"], "-2"),
+        (["law", "--a-critical"], "0"),
+        (["gap", "--a", "2"], "0"),
+    ], ids=["law-negative", "law-zero", "gap-zero"])
+    def test_empty_t_grid_is_input_error(self, tmp_path, capsys, argv, steps):
+        out = tmp_path / "x"
+        assert run([*argv, "--potential", "gue", "--n", "10", "--T-steps", steps,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert argv[0] in err and f"T-steps = {steps}" in err
+        assert not out.exists()
+
+    def test_empty_gap_table_is_input_error(self, tmp_path, capsys):
+        # an empty table would compare vacuously: max gap 0.0, a pass
+        gap, law = tmp_path / "gap", tmp_path / "law"
+        assert run(["gap", "--potential", "gue", "--a", "2", "--n", "10", "--T-steps", "1",
+                    "--out", str(gap)]) == 0
+        table = json.loads((gap / "gap.json").read_text())
+        (gap / "gap.json").write_text(json.dumps({**table, "rows": []}))
+        assert run(["law", "--potential", "gue", "--a", "2", "--n", "10",
+                    "--out", str(law)]) == 0
+        capsys.readouterr()
+        assert run(["compare", "--law-dir", str(law), "--gap-dir", str(gap),
+                    "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert "gap.json" in err and "at least one row" in err
+        assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize("argv", [
         ["montecarlo", "--j", "2"],

@@ -188,6 +188,96 @@ class TestScan:
         assert abs((x0_of(eq_quartic, a) - e) - t_star) < 0.01 * t_star
 
 
+@pytest.fixture(scope="module")
+def eq_eynard_1e3():
+    return solve_support(eynard_potential(3.0, 1e-3))
+
+
+def _eq_by_name(name, request):
+    return request.getfixturevalue({"gue": "eq_gue", "quartic": "eq_quartic",
+                                    "eynard(3,0.02)": "eq_eynard", "eynard(3,1e-3)": "eq_eynard_1e3",
+                                    "two-shelf": "eq_shelf"}[name])
+
+
+def dense_maxima_cells(eq, a, num=20001):
+    """Cells [x_i, x_i+1] of a dense grid from the float after c(a) to the
+    certified tail where the closed form G' = a - (V' + h sqrt((x - b0)(x - e))) / 2
+    falls from + to <= 0."""
+    c = c_of_a(eq, a)
+    lo, X = math.nextafter(c, math.inf), scan_upper_bound(eq, a)
+    if X <= lo:
+        return []
+    xs = np.unique(np.concatenate([[lo], lo + np.logspace(-12, math.log10(X - lo), 400),
+                                   np.linspace(lo, X, num)]))
+    h = np.polynomial.Polynomial(eq.h_coeffs)
+    Vp = np.polynomial.Polynomial(eq.V.coefficients).deriv()
+    d = a - 0.5 * (Vp(xs) + h(xs) * np.sqrt((xs - eq.b0) * (xs - eq.a1)))
+    return [(xs[i], xs[i + 1]) for i in np.flatnonzero((d[:-1] > 0) & (d[1:] <= 0))]
+
+
+class TestScanAgainstDenseGrid:
+    @pytest.mark.parametrize("name", ["gue", "quartic", "eynard(3,0.02)", "eynard(3,1e-3)",
+                                      "two-shelf"])
+    def test_same_maxima_as_dense_sign_changes(self, name, request):
+        # each maximum of the scan lies in its own + -> - cell of G' on a
+        # dense grid, and every such cell holds one
+        eq = _eq_by_name(name, request)
+        a_c = critical_a(eq)
+        half = 0.5 * eq.V.eval(eq.a1, 1)
+        band = switch_band(eq)
+        top = max(2.0 * half, band[1] + 0.3) if band else 2.0 * half
+        tilts = list(np.linspace(0.4 * a_c, top, 19)) + [a_c + 1e-4, a_c + 1e-9]
+        if band:    # tilts with two local maxima
+            tilts += list(np.linspace(*band, 6)[1:-1])
+        counts = []
+        for a in tilts:
+            cells = dense_maxima_cells(eq, a)
+            xs = [x for x, _ in scan(eq, a).maxima]
+            assert len(xs) == len(cells), (a, xs, cells)
+            assert all(lo <= x <= hi for x, (lo, hi) in zip(xs, cells)), (a, xs, cells)
+            counts.append(len(xs))
+        assert max(counts) >= 2 if band else max(counts) == 1
+
+    @pytest.mark.parametrize("name", ["gue", "two-shelf"])
+    def test_no_array_evaluation_once_runs_are_built(self, name, request, monkeypatch):
+        # past the first call, a scan evaluates G' at single points only
+        eq = _eq_by_name(name, request)
+        scan(eq, 1.5)
+        real = type(eq).g_deriv
+        arrays = []
+
+        def recording(self, z, m):
+            if np.ndim(z) > 0:
+                arrays.append((np.size(z), m))
+            return real(self, z, m)
+
+        monkeypatch.setattr(type(eq), "g_deriv", recording)
+        for a in (0.5, 1.2, 1.5, 1.7, 2.5):
+            scan(eq, a)
+        assert arrays == []
+
+
+class TestPhaseDiagramAgainstSweep:
+    @pytest.mark.parametrize("name", ["two-shelf", "eynard(3,0.02)", "eynard(3,1e-3)"])
+    def test_every_jump_is_a_listed_switch(self, name, request):
+        # a dense sweep over the whole band above a_c: every jump of the
+        # global maximizer is a listed switch and every switch a jump, with
+        # two tied maximizers there
+        eq = _eq_by_name(name, request)
+        diagram = phase_diagram(eq)
+        band = switch_band(eq)
+        avals = np.linspace(diagram.a_c + 1e-6, band[1] + 0.5, 2000)
+        x0 = np.array([x0_of(eq, a) for a in avals])
+        jumps = set(np.flatnonzero(np.abs(np.diff(x0)) > 0.2).tolist())
+        cells = {int(np.searchsorted(avals, a_star)) - 1 for a_star, _ in diagram.switches}
+        assert jumps == cells
+        assert len(cells) == len(diagram.switches)
+        for a_star, _ in diagram.switches:
+            assert len(maximizer_set(eq, a_star, tie_tol=1e-6)) == 2
+        if name == "two-shelf":
+            assert len(diagram.switches) == 1
+
+
 class TestCriticalValue:
     def test_gue(self, eq_gue):
         assert abs(critical_a(eq_gue) - 1.0) < 1e-6
