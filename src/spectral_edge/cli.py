@@ -159,12 +159,13 @@ def cmd_gap(args) -> int:
     eq = solve_support(V)
     ortho = finitemodel.build_ortho(V, args.n, args.n - args.j + 2, a_hint=a)
     sk = finitemodel.build_spiked(ortho, a, args.j)
-    beta_n = eq.beta * args.n ** (2.0 / 3.0)
-    rows = []
-    for t in ts:
-        edge_t = eq.a1 + t / beta_n
-        prob = finitemodel.gap_probability(sk, [(edge_t, np.inf)])
-        rows.append((t, edge_t, prob))
+    thresholds = eq.a1 + ts / (eq.beta * args.n ** (2.0 / 3.0))
+    raw = np.array([finitemodel.gap_probability_raw(sk, [(thr, np.inf)]) for thr in thresholds])
+    clamped = int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
+    rows = list(zip(ts.tolist(), thresholds.tolist(), np.clip(raw, 0.0, 1.0).tolist()))
+    if clamped:
+        print(f"gap: {clamped} of {raw.size} determinants outside [0, 1] clamped "
+              f"(raw range [{raw.min():.6g}, {raw.max():.6g}])", file=sys.stderr)
     _write_manifest(out, "gap", args)
     with open(out / "gap.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -172,7 +173,8 @@ def cmd_gap(args) -> int:
         for t, thr, p in rows:
             writer.writerow([f"{t:.17g}", f"{thr:.17g}", f"{p:.17g}"])
     with open(out / "gap.json", "w") as fh:
-        json.dump({"n": args.n, "j": args.j, "a": a,
+        json.dump({"n": args.n, "j": args.j, "a": a, "clamped": clamped,
+                   "raw_range": [float(raw.min()), float(raw.max())],
                    "rows": [list(r) for r in rows]}, fh, indent=2)
     print(f"wrote {len(rows)} gap values to {out / 'gap.csv'}")
     return EXIT_OK

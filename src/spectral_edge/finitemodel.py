@@ -230,9 +230,12 @@ def gap_probability_raw(sk: SpikedKernel, intervals, m_nodes: int = 160,
 
     Right-unbounded parts are truncated at the grid half-width where the
     weight has underflown.  The factored route evaluates the unspiked
-    determinant times the rank-one resolvent correction; the direct route
-    takes the determinant of the full spiked kernel and is kept as a
-    cross-check (the two agree to rounding).
+    determinant times the rank-one resolvent correction,
+    det(I - M) (1 - <psi_{n-j}, (I - M)^{-1} psi~>), as the determinant of
+    I - M bordered by the two functions: one LU factorisation, whose last
+    pivot is the correction, and no separate solve (a singular I - M needs
+    no special case).  The direct route takes the determinant of the full
+    spiked kernel and is kept as a cross-check (the two agree to rounding).
     """
     L = sk.ortho.grid.interval[1]
     segs = []
@@ -253,14 +256,9 @@ def gap_probability_raw(sk: SpikedKernel, intervals, m_nodes: int = 160,
     tpsi = sk.tilde_psi_at(xs, px)
     ident = np.eye(xs.size)
     if factored:
-        M = sw[:, None] * K * sw[None, :]
-        det0 = float(np.linalg.det(ident - M))
-        try:
-            u = np.linalg.solve(ident - M, sw * tpsi)
-        except np.linalg.LinAlgError:
-            log.warning("resolvent solve failed; falling back to the direct determinant")
-            return gap_probability_raw(sk, intervals, m_nodes, factored=False)
-        return det0 * (1.0 - float(np.dot(sw * px[nj], u)))
+        bordered = np.block([[ident - sw[:, None] * K * sw[None, :], (sw * tpsi)[:, None]],
+                             [(sw * px[nj])[None, :], np.ones((1, 1))]])
+        return float(np.linalg.det(bordered))
     Mt = sw[:, None] * (K + np.outer(tpsi, px[nj])) * sw[None, :]
     return float(np.linalg.det(ident - Mt))
 

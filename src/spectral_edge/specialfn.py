@@ -9,6 +9,12 @@ of -8 it is evaluated on the rays e^{+-i pi/3} and combined into Ai(-x).
 Against mpmath the pair is within 4e-14 (Ai) and 3e-13 (Ai') of
 max(1, |value|) on [-50, 120].  Arguments off the positive real axis must
 satisfy |z| <= 50, the accuracy envelope the kernel windows respect.
+
+Gauss-Legendre rules are built in O(m^2): LAPACK ``dsterf`` takes the
+eigenvalues of the tridiagonal Jacobi matrix (Golub-Welsch), then numpy's
+own Newton step and weight formula run unchanged, so every rule is
+bit-identical to ``numpy.polynomial.legendre.leggauss``, whose dense
+eigensolver made the build O(m^3).
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import legder, legval
+from scipy.linalg.lapack import dsterf
 from scipy.special import airy, erfc, gammaincc
 
 __all__ = [
@@ -166,10 +173,29 @@ class QuadratureRule:
 def legendre_reference(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], built once per size.
 
-    The build is O(m^3), most of the cost of a large rule; every rule in the
-    package maps these read-only arrays onto its own interval.
+    The nodes start as the eigenvalues of the symmetric tridiagonal Legendre
+    companion matrix, from ``dsterf`` in O(m^2) (no m x m array is formed);
+    the rest is ``leggauss``'s own arithmetic, so the arrays are
+    bit-identical to ``leggauss(m)``.  Every rule in the package maps these
+    read-only arrays onto its own interval.
     """
-    x, w = leggauss(m)
+    scl = 1.0 / np.sqrt(2 * np.arange(m) + 1)
+    x, info = dsterf(np.zeros(m), np.arange(1, m) * scl[:-1] * scl[1:])
+    if info != 0:
+        raise RuntimeError(f"dsterf failed on the Legendre Jacobi matrix of size {m} (info {info})")
+    # one Newton step on the roots, then weights from L_m' and L_{m-1},
+    # scaled against overflow, symmetrised and normalised to 2
+    c = np.array([0] * m + [1])
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

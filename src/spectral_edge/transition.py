@@ -175,14 +175,21 @@ def scan(eq: EquilibriumData, a: float) -> Scan:
 
     Each rising run of W, clipped to [next float after c(a),
     ``scan_upper_bound``], holds at most one: where G' = a - W falls through 0.
+    A run that starts at c(a) itself (the edge, for a above V'(e)/2) and
+    already has W >= a at the float after it crosses a within one float of
+    c(a); that maximum is reported at the float after c(a).
     """
     c = c_of_a(eq, a)
     lo, hi = math.nextafter(c, math.inf), scan_upper_bound(eq, a)
     x_max = []
-    for x_lo, x_hi, w_lo, w_hi in _rising_runs(eq):
-        x_lo, x_hi = max(x_lo, lo), min(x_hi, hi)
-        if w_lo < a < w_hi and x_lo < x_hi and _w(eq, x_lo) < a <= _w(eq, x_hi):
+    for run_lo, run_hi, w_lo, w_hi in _rising_runs(eq):
+        x_lo, x_hi = max(run_lo, lo), min(run_hi, hi)
+        if not (w_lo < a < w_hi and x_lo < x_hi and a <= _w(eq, x_hi)):
+            continue
+        if _w(eq, x_lo) < a:
             x_max.append(_crossing(eq, a, x_lo, x_hi))
+        elif run_lo == c:
+            x_max.append(x_lo)
     maxima = tuple(zip(x_max, G_fn(eq, a, np.array(x_max)).tolist()))
     return Scan(c, H_fn(eq, a, c), maxima)
 

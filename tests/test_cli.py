@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectral_edge import limitlaws, transition
+from spectral_edge import finitemodel, limitlaws, transition
 from spectral_edge.cli import main
 from spectral_edge.limitlaws import f0
 
@@ -159,6 +159,36 @@ class TestGapCommand:
         rows = json.loads((out / "gap.json").read_text())["rows"]
         assert rows[-1][2] > 0.999
 
+    def test_healthy_run_reports_no_clamp(self, tmp_path, capsys):
+        out = tmp_path / "gap"
+        assert run(["gap", "--potential", "gue", "--a", "1.5", "--n", "16",
+                    "--T-steps", "5", "--out", str(out)]) == 0
+        report = json.loads((out / "gap.json").read_text())
+        assert report["clamped"] == 0
+        probs = [row[2] for row in report["rows"]]
+        assert report["raw_range"] == [min(probs), max(probs)]
+        assert capsys.readouterr().err == ""
+
+    def test_out_of_range_raw_value_is_counted(self, tmp_path, capsys, monkeypatch):
+        real = finitemodel.gap_probability_raw
+        calls = []
+
+        def one_out_of_range(sk, intervals, *args, **kwargs):
+            calls.append(intervals)
+            raw = real(sk, intervals, *args, **kwargs)
+            return 1.25 if len(calls) == 2 else raw
+
+        monkeypatch.setattr(finitemodel, "gap_probability_raw", one_out_of_range)
+        out = tmp_path / "gap"
+        assert run(["gap", "--potential", "gue", "--a", "1.5", "--n", "16",
+                    "--T-steps", "5", "--out", str(out)]) == 0
+        assert len(calls) == 5
+        report = json.loads((out / "gap.json").read_text())
+        assert report["clamped"] == 1
+        assert report["raw_range"][1] == 1.25
+        assert report["rows"][1][2] == 1.0
+        err = capsys.readouterr().err
+        assert "1 of 5" in err and "clamped" in err and "1.25" in err
 
     def test_size_cap_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "gap"

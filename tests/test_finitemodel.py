@@ -176,6 +176,36 @@ class TestGapProbability:
             b = gap_probability_raw(sk, [(lo, hi)], factored=False)
             assert abs(a - b) < 1e-8
 
+    def test_factored_vs_direct_at_n128(self):
+        # GUE n = 128, a = 1.5: supercritical, so the determinants are not
+        # rounding noise and the two routes agree to 1e-12 over the gap
+        # subcommand's T grid and a two-interval union
+        sk = build_spiked(build_ortho(GUE, 128, 129, a_hint=1.5), 1.5, 1)
+        thresholds = 2.0 + np.linspace(-4.0, 3.0, 15) / 128 ** (2.0 / 3.0)
+        for intervals in [[(t, np.inf)] for t in thresholds] + [[(1.95, 2.0), (2.05, np.inf)]]:
+            a = gap_probability_raw(sk, intervals)
+            b = gap_probability_raw(sk, intervals, factored=False)
+            assert abs(a - b) < 1e-12, (intervals, a, b)
+
+    def test_factored_route_is_one_lu(self, ortho16, monkeypatch):
+        # det(I - M) and the resolvent correction come from one determinant
+        # of I - M bordered by the two functions: no solve
+        sizes = []
+        real_det = np.linalg.det
+
+        def counting_det(a):
+            sizes.append(a.shape)
+            return real_det(a)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the factored route solves no linear system")
+
+        monkeypatch.setattr(np.linalg, "det", counting_det)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        sk = build_spiked(ortho16, 0.5, 1)
+        gap_probability_raw(sk, [(1.8, 2.2), (2.4, np.inf)])
+        assert sizes == [(321, 321)]
+
     def test_union_of_intervals(self, ortho16):
         sk = build_spiked(ortho16, 0.5, 1)
         both = gap_probability(sk, [(1.8, 2.2), (2.4, np.inf)])

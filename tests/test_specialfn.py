@@ -205,13 +205,26 @@ class TestGaussLegendre:
             bad.validate()
 
 
+LEGGAUSS_SIZES = sorted(set(range(2, 301)) | {480, 512, 528, 1024, 1040, 1536, 1552, 2048, 2064})
+
+
 class TestLegendreReference:
-    @pytest.mark.parametrize("m", [2, 160, 480, 2064])
+    @pytest.mark.parametrize("m", LEGGAUSS_SIZES)
     def test_bit_identical_to_leggauss(self, m):
         x, w = legendre_reference(m)
         ref_x, ref_w = np.polynomial.legendre.leggauss(m)
         assert x.tobytes() == ref_x.tobytes()
         assert w.tobytes() == ref_w.tobytes()
+
+    def test_large_rule_without_leggauss(self):
+        # m = 4128, twice the largest grid of build_ortho, checked against
+        # closed forms rather than the O(m^3) leggauss
+        x, w = legendre_reference(4128)
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert abs(w.sum() - 2.0) < 1e-13
+        assert abs(np.dot(w, np.cos(50.0 * x)) - 2.0 * math.sin(50.0) / 50.0) <= 1e-12
+        gauss_legendre(4128, -1.0, 1.0).validate()
 
     def test_read_only(self):
         x, w = legendre_reference(12)
@@ -222,12 +235,13 @@ class TestLegendreReference:
 
     def test_one_build_per_size(self, monkeypatch):
         calls = []
+        real = specialfn.dsterf
 
-        def counting_leggauss(m):
-            calls.append(m)
-            return np.polynomial.legendre.leggauss(m)
+        def counting_dsterf(d, e):
+            calls.append(d.size)
+            return real(d, e)
 
-        monkeypatch.setattr(specialfn, "leggauss", counting_leggauss)
+        monkeypatch.setattr(specialfn, "dsterf", counting_dsterf)
         legendre_reference.cache_clear()
         try:
             first = build_ortho(GUE, 16, 17)

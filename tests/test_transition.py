@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,14 +201,14 @@ def _eq_by_name(name, request):
 
 
 def dense_maxima_cells(eq, a, num=20001):
-    """Cells [x_i, x_i+1] of a dense grid from the float after c(a) to the
-    certified tail where the closed form G' = a - (V' + h sqrt((x - b0)(x - e))) / 2
+    """Cells [x_i, x_i+1] of a dense grid from c(a) and the float after it to
+    the certified tail where the closed form G' = a - (V' + h sqrt((x - b0)(x - e))) / 2
     falls from + to <= 0."""
     c = c_of_a(eq, a)
     lo, X = math.nextafter(c, math.inf), scan_upper_bound(eq, a)
     if X <= lo:
         return []
-    xs = np.unique(np.concatenate([[lo], lo + np.logspace(-12, math.log10(X - lo), 400),
+    xs = np.unique(np.concatenate([[c, lo], lo + np.logspace(-12, math.log10(X - lo), 400),
                                    np.linspace(lo, X, num)]))
     h = np.polynomial.Polynomial(eq.h_coeffs)
     Vp = np.polynomial.Polynomial(eq.V.coefficients).deriv()
@@ -237,6 +238,15 @@ class TestScanAgainstDenseGrid:
             assert all(lo <= x <= hi for x, (lo, hi) in zip(xs, cells)), (a, xs, cells)
             counts.append(len(xs))
         assert max(counts) >= 2 if band else max(counts) == 1
+
+    def test_crossing_left_of_c_is_not_a_maximum(self, eq_eynard_1e3):
+        # at a = 0.2926, c(a) ~ 3.005 lies inside the last rising run of W,
+        # which starts at ~2.924 and has W > a at c(a) already: that run's
+        # crossing, a local maximum of G, lies left of c(a), outside the window
+        eq, a = eq_eynard_1e3, 0.2926
+        assert transition._rising_runs(eq)[-1][0] < c_of_a(eq, a)
+        assert dense_maxima_cells(eq, a) == []
+        assert scan(eq, a).maxima == ()
 
     @pytest.mark.parametrize("name", ["gue", "two-shelf"])
     def test_no_array_evaluation_once_runs_are_built(self, name, request, monkeypatch):
@@ -353,6 +363,21 @@ class TestMaximizers:
             widths.append(1.0 / fluct_scale(eq_gue, a, x0_of(eq_gue, a), 1))
         assert all(b < a for a, b in zip(widths, widths[1:]))
         assert widths[-1] < 0.2
+
+    @pytest.mark.parametrize("name", ["gue", "quartic"])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-8])
+    def test_maximizer_within_a_float_of_the_edge(self, name, eps, request):
+        # just above a convex-type a_c the maximizer lies (a - a_c)^2-close to
+        # the edge, less than one float right of it: W >= a already at the
+        # float after e, and the maximum is reported there
+        eq = _eq_by_name(name, request)
+        a = critical_a(eq) + eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x0 = x0_of(eq, a)
+            out = maximizer_set(eq, a)
+        assert 0.0 < x0 - eq.a1 <= 1e-14
+        assert out == [(x0, 1)]
 
     def test_argmax_monotone_convex(self, eq_gue):
         avals = np.linspace(1.05, 5.0, 9)
