@@ -1,6 +1,10 @@
 """Numerics for rank-one spiked Hermitian matrix models: equilibrium
 measures, spike phase transitions, limiting edge laws, exact finite-size
-gap probabilities, and Monte Carlo verification."""
+gap probabilities, and Monte Carlo verification.
+
+The package re-exports no names: import them from their modules
+(``spectral_edge.limitlaws``, ``spectral_edge.transition`` and so on), so
+that a program loads only the modules, and the parts of scipy, it uses."""
 
 import ctypes
 
@@ -19,23 +23,5 @@ except (OSError, AttributeError):
 else:
     _mallopt(-3, 4 << 20)    # M_MMAP_THRESHOLD: blocks below 4 MiB come from the heap
     _mallopt(-1, 8 << 20)    # M_TRIM_THRESHOLD: up to 8 MiB stay free at its top
-
-from .potential import Potential, SpikeConfig, eynard_potential
-from .equilibrium import EquilibriumData, solve_support
-from .transition import critical_a
-from .limitlaws import LimitLaw, f0, f1, predict_law
-
-__all__ = [
-    "EquilibriumData",
-    "LimitLaw",
-    "Potential",
-    "SpikeConfig",
-    "critical_a",
-    "eynard_potential",
-    "f0",
-    "f1",
-    "predict_law",
-    "solve_support",
-]
 
 __version__ = "0.1.0"

@@ -3,6 +3,10 @@
 Subcommands: equilibrium | critical | law | gap | montecarlo | compare.
 Every run writes a manifest echoing the resolved configuration next to its
 outputs.  Exit codes: 0 success, 2 input error, 3 numeric failure.
+
+Each subcommand imports the modules it calls, so that a process loads only
+what its command runs: ``montecarlo --method mcmc`` loads no scipy, and no
+command loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -15,9 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import equilibrium as eqmod
-from . import finitemodel, limitlaws, sampler, transition
-from .equilibrium import NotOneCutError, NotRegularError, solve_support
 from .potential import SpikeConfig, load_potential
 
 EXIT_OK = 0
@@ -49,6 +50,18 @@ def _potential(args):
         raise InputError(f"potential: {exc}") from exc
 
 
+def _solve(V):
+    """The equilibrium measure of V.  A potential that is not regular is an
+    input error; one with no one-cut measure (``NotOneCutError``, a
+    RuntimeError) is a numeric failure."""
+    from .equilibrium import NotRegularError, solve_support
+
+    try:
+        return solve_support(V)
+    except NotRegularError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _spike(args, a: float) -> SpikeConfig:
     """Validate the spike inputs of a command once, before any work."""
     try:
@@ -65,9 +78,11 @@ def _t_grid(args) -> np.ndarray:
 
 
 def cmd_equilibrium(args) -> int:
+    from . import equilibrium as eqmod
+
     V = _potential(args)
     out = _out_dir(args)
-    eq = solve_support(V)
+    eq = _solve(V)
     _write_manifest(out, "equilibrium", args)
     eqmod.json_dump(eq, out / "equilibrium.json")
     eqmod.density_csv(eq, out / "density.csv")
@@ -85,9 +100,11 @@ def _numeric_stage(stage: str, fn, *args):
 
 
 def cmd_critical(args) -> int:
+    from . import transition
+
     V = _potential(args)
     out = _out_dir(args)
-    eq = solve_support(V)
+    eq = _solve(V)
     a_c = _numeric_stage("critical: a_c search", transition.critical_a, eq)
     half = 0.5 * eq.V.eval(eq.a1, 1)
     secondary = _numeric_stage("critical: secondary critical search",
@@ -109,6 +126,8 @@ def cmd_critical(args) -> int:
 
 
 def cmd_law(args) -> int:
+    from . import limitlaws, transition
+
     if args.a_critical == (args.a is not None):
         raise InputError("law requires exactly one of --a and --a-critical")
     if args.alpha is not None and not args.a_critical:
@@ -118,7 +137,7 @@ def cmd_law(args) -> int:
     _spike(args, 0.0 if args.a_critical else args.a)
     V = _potential(args)
     out = _out_dir(args)
-    eq = solve_support(V)
+    eq = _solve(V)
     a_c = None
     if args.a_critical:
         a_c = transition.critical_a(eq)
@@ -150,13 +169,15 @@ def cmd_law(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    from . import finitemodel
+
     a = _spike(args, args.a if args.a is not None else 0.0).a
     if args.n > finitemodel.MAX_N:
         raise InputError(f"gap: n = {args.n} exceeds the determinant cap n <= {finitemodel.MAX_N}")
     ts = _t_grid(args)
     V = _potential(args)
     out = _out_dir(args)
-    eq = solve_support(V)
+    eq = _solve(V)
     ortho = finitemodel.build_ortho(V, args.n, args.n - args.j + 2, a_hint=a)
     sk = finitemodel.build_spiked(ortho, a, args.j)
     thresholds = eq.a1 + ts / (eq.beta * args.n ** (2.0 / 3.0))
@@ -181,6 +202,8 @@ def cmd_gap(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    from . import sampler
+
     a = _spike(args, args.a if args.a is not None else 0.0).a
     if args.reps < 1:
         raise InputError(f"montecarlo: reps = {args.reps} must be at least 1")
@@ -213,6 +236,8 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import limitlaws, sampler
+
     with open(Path(args.law_dir) / "law.json") as fh:
         law_json = json.load(fh)
     law = limitlaws.LimitLaw.from_json(law_json)
@@ -326,14 +351,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, NotRegularError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotOneCutError, OverflowError, FloatingPointError, np.linalg.LinAlgError,
-            RuntimeError) as exc:
+    except (OverflowError, FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

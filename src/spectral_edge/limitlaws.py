@@ -57,6 +57,14 @@ _BASE_SPAN = 16.0
 # precision and f1's resolvent solve fails (from T ~ -9.5).  f0 and f1
 # return 0 at and below it, and raise below the Nystrom window.
 CDF_FLOOR = -9.0
+# Right cutoff, mirroring the floor: f0 and f1 return 1 at and above it.
+# The kernel and Ai are below rounding on every Nystrom node there (Ai(50) =
+# 4.6e-104), and on a 0.05 grid of |alpha| <= 4 every f0 and f1 value above
+# T = 41.8, up to the first overflow, already read exactly 1.  Past
+# T ~ 709/|alpha| f1's profile e^{alpha^3/3 - alpha xi} overflows, and f1
+# read 0 * inf = NaN without the cut (from T = 155 at alpha = -4 and T = 695
+# at alpha = -1).
+CDF_CEILING = 50.0
 _WINDOW_LEFT = -12.0
 # Most T one stacked Nystrom pass holds.  A block's temporaries take ~75 kB
 # per T at m = 40; 16 T keep a 200-point KS grid within the memory of the
@@ -128,13 +136,13 @@ class AiryDiscretization:
 
 
 def _by_blocks(T, m: int, block_fn):
-    # 0 at and left of the floor; every other T through block_fn, at most
-    # _BLOCK at a time.  A scalar T gives a float.
+    # 0 at and left of the floor, 1 at and right of the ceiling; every other
+    # T through block_fn, at most _BLOCK at a time.  A scalar T gives a float.
     _check_window(T, m)
     arr = np.asarray(T, dtype=float)
     flat = arr.ravel()
-    out = np.zeros(flat.shape)
-    live = np.flatnonzero(flat > CDF_FLOOR)
+    out = np.where(flat >= CDF_CEILING, 1.0, 0.0)
+    live = np.flatnonzero((flat > CDF_FLOOR) & (flat < CDF_CEILING))
     for start in range(0, live.size, _BLOCK):
         idx = live[start:start + _BLOCK]
         out[idx] = block_fn(flat[idx])

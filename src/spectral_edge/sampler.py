@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .potential import Potential
 
@@ -96,6 +95,9 @@ def sample_gaussian_spiked(n: int, a: float, reps: int, seed: int = 0) -> EdgeSa
     the top eigenvalue of T is computed, by Sturm-count bisection at O(n)
     work per step, against O(n^3) for diagonalising the dense matrix.
     """
+    # imported here so that the Metropolis path loads no scipy
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if n > 2000:
         raise ValueError("n capped at 2000 for direct sampling")
     if reps * n > 10 ** 6 * 8:

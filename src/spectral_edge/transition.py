@@ -25,16 +25,24 @@ is one ``brentq`` on a known sign change:
   of two runs i < j, at a tilt both runs cross: a root of
   D(a) = G(x_j(a)) - G(x_i(a)).  G' vanishes at both, so D' = x_j - x_i > 0:
   each pair of runs has at most one switch, and one run (every convex V) none.
+
+``_brentq`` is Brent's method (Brent, *Algorithms for Minimization Without
+Derivatives*, 1973, ch. 4) as scipy's C ``brentq`` implements it, ported line
+for line: it returns the same root after the same function calls, so every
+value here is the one ``scipy.optimize.brentq`` gave.  It is ported because
+importing ``scipy.optimize`` for this one function cost each CLI process
+~0.2 s on top of ``scipy.special`` and ``scipy.linalg``, more than the work of
+most commands.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .equilibrium import EquilibriumData
 from .potential import derivative_or_zero
@@ -66,6 +74,62 @@ _ROOT_TOL = 1e-15       # brentq xtol for every root
 _A_LO = 1e-4            # default lower bracket of the a_c search
 
 
+def _brentq(f, a: float, b: float, xtol: float = 2e-12,
+            rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign: scipy's C
+    ``brentq`` loop, with its errors (ValueError for ends of one sign or a NaN
+    value, RuntimeError after ``maxiter`` iterations)."""
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(fx)
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        step = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # C divides by a zero den into inf or nan, which fails this test
+            if den != 0 and 2 * abs(num / den) < min(abs(spre), 3 * abs(sbis) - delta):
+                step = num / den
+        if step is None:
+            spre = scur = sbis       # bisect
+        else:
+            spre, scur = scur, step  # good short step
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def c_of_a(eq: EquilibriumData, a: float) -> float:
     """Location of the H minimum: the g' level set for subcritical tilts, else the edge."""
     if a <= 0:
@@ -79,8 +143,8 @@ def c_of_a(eq: EquilibriumData, a: float) -> float:
         if hi - eq.a1 > _C_MAX_OFFSET:
             raise OverflowError("tilt too weak: H minimum beyond the search horizon")
     # g' is continuous at the edge, where it equals V'(e)/2 > a
-    return brentq(lambda x: (eq.g_deriv(x, 1) if x > eq.a1 else half_vp) - a,
-                  eq.a1, hi, xtol=_ROOT_TOL)
+    return _brentq(lambda x: (eq.g_deriv(x, 1) if x > eq.a1 else half_vp) - a,
+                   eq.a1, hi, xtol=_ROOT_TOL)
 
 
 def G_fn(eq: EquilibriumData, a: float, x) -> float:
@@ -140,7 +204,7 @@ def _rising_runs(eq: EquilibriumData) -> tuple:
 
             d = dW(xs)
             turns = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
-            x_ext = [brentq(dW, xs[i], xs[i + 1], xtol=_ROOT_TOL) for i in turns]
+            x_ext = [_brentq(dW, xs[i], xs[i + 1], xtol=_ROOT_TOL) for i in turns]
         # W' > 0 at both ends, so the extrema alternate maximum, minimum, ...
         ends = [eq.a1] + x_ext + [math.inf]
         levels = [_w(eq, x) for x in ends[:-1]] + [math.inf]
@@ -151,7 +215,7 @@ def _rising_runs(eq: EquilibriumData) -> tuple:
 def _crossing(eq: EquilibriumData, a: float, lo: float, hi: float) -> float:
     # where W, rising on [lo, hi] with W(lo) <= a <= W(hi), takes the level a;
     # at a run end whose kept level is a, W - a is exactly 0 and brentq returns it
-    return brentq(lambda x: _w(eq, x) - a, lo, hi, xtol=_ROOT_TOL)
+    return _brentq(lambda x: _w(eq, x) - a, lo, hi, xtol=_ROOT_TOL)
 
 
 @dataclass(frozen=True)
@@ -227,7 +291,7 @@ def critical_a(eq: EquilibriumData, a_lo: float = _A_LO) -> float:
         # Convex-type potential: the critical value is the edge slope itself.
         a_c = half_vp
     else:
-        a_c = brentq(excess, a_lo, half_vp, xtol=_ROOT_TOL)
+        a_c = _brentq(excess, a_lo, half_vp, xtol=_ROOT_TOL)
     if a_lo == _A_LO:
         eq._a_c = a_c
     return a_c
@@ -325,7 +389,7 @@ def _switches(eq: EquilibriumData, a_lo: float) -> list[tuple[float, Scan]]:
 
         if not gap(lo) < 0 < gap(hi):
             continue
-        a_star = brentq(gap, lo, hi, xtol=_ROOT_TOL)
+        a_star = _brentq(gap, lo, hi, xtol=_ROOT_TOL)
         s = scan(eq, a_star)
         if len(maximizer_set(eq, a_star, tie_tol=1e-6, s=s)) == 2:
             out.append((a_star, s))

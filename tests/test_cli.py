@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +126,15 @@ class TestLawCommand:
         for t_str, v_str in rows:
             expect = f"{f0(float(t_str)):.17g}"
             assert v_str == expect
+
+    def test_far_right_f1_table_is_finite(self, tmp_path):
+        # F1's profile used to overflow there, writing nan with exit 0
+        out = tmp_path / "law"
+        assert run(["law", "--potential", "gue", "--n", "100", "--a-critical", "--alpha", "1",
+                    "--T-max", "700", "--out", str(out)]) == 0
+        cdf = [float(r[1]) for r in list(csv.reader((out / "law.csv").open()))[1:]]
+        assert len(cdf) == 41 and all(np.isfinite(cdf))
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= -1e-9)
 
     def test_a_critical_bisects_once(self, tmp_path, monkeypatch):
         calls = []
@@ -354,3 +366,66 @@ class TestSpikeValidation:
             run([*argv, "--potential", "gue", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Runs ``python -m spectral_edge.cli`` with the arguments in argv[1] (JSON),
+# then prints its exit code and the scipy modules the process loaded.
+_PROBE = """
+import json, runpy, sys
+sys.argv = ["spectral-edge", *json.loads(sys.argv[1])]
+code = 0
+try:
+    runpy.run_module("spectral_edge.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _fresh_process(code: str, *args, cwd) -> list:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestImportBudget:
+    """Each subcommand loads only the modules it runs: the Metropolis chain
+    for GUE loads no scipy, and no command loads scipy.optimize."""
+
+    def _cli(self, tmp_path, *argv):
+        return _fresh_process(_PROBE, json.dumps(argv), cwd=tmp_path)
+
+    def test_potential_module_loads_no_scipy(self, tmp_path):
+        probe = ("import json, sys, spectral_edge.potential; "
+                 "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+        assert _fresh_process(probe, cwd=tmp_path) == []
+
+    def test_mcmc_loads_no_scipy(self, tmp_path):
+        assert self._cli(tmp_path, "montecarlo", "--potential", "gue", "--method", "mcmc",
+                         "--a", "0.5", "--n", "4", "--reps", "10", "--out", "mc") == [0, []]
+
+    def test_pipeline_loads_no_optimizer(self, tmp_path):
+        commands = [
+            ["montecarlo", "--potential", "gue", "--a", "0.5", "--n", "10", "--reps", "20",
+             "--out", "mc"],
+            ["law", "--potential", "gue", "--a", "0.5", "--n", "10", "--T-steps", "3",
+             "--out", "law"],
+            ["compare", "--law-dir", "law", "--mc-dir", "mc", "--ks-tol", "1", "--out", "cmp"],
+        ]
+        for argv in commands:
+            code, mods = self._cli(tmp_path, *argv)
+            assert code == 0, argv
+            assert "scipy.optimize" not in mods, argv
+        assert json.loads((tmp_path / "cmp" / "compare.json").read_text())["ks_pass"]
+
+    def test_exit_codes_in_a_fresh_process(self, tmp_path):
+        # not regular: input error; no one-cut measure: numeric failure
+        pot = tmp_path / "dw.json"
+        pot.write_text(json.dumps({"label": "dw", "coefficients": [0, 0, -2.0, 0, 0.25]}))
+        assert self._cli(tmp_path, "critical", "--potential", "eynard(3,0)",
+                         "--out", "crit")[0] == 2
+        assert self._cli(tmp_path, "equilibrium", "--potential", str(pot), "--out", "eq")[0] == 3

@@ -1,11 +1,13 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from spectral_edge.limitlaws import (
+    CDF_CEILING,
     CDF_FLOOR,
     AiryDiscretization,
     LimitLaw,
@@ -239,6 +241,26 @@ class TestBatchedTables:
         assert np.all(np.isfinite(vals))
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         assert np.all(np.diff(vals) >= -1e-9)
+
+    @pytest.mark.parametrize("alpha", [-4.0, -1.0, 0.0, 1.0, 4.0])
+    def test_right_tail_is_one(self, alpha):
+        # without the ceiling f1's profile overflowed there (from T = 155 at
+        # alpha = 4) and the CDF read NaN
+        ts = np.array([50.0, 100.0, 300.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for law in (LimitLaw("F1", alpha=alpha), LimitLaw("F0")):
+                assert law.cdf_standard(ts).tolist() == [1.0] * 4
+                assert [law.cdf_standard(float(t)) for t in ts] == [1.0] * 4
+
+    def test_ceiling_moves_no_value(self):
+        # at and just below the ceiling every F1 of |alpha| <= 4 already
+        # computes to exactly 1 (the last value below 1 is at T = 41.8);
+        # further left values still differ from 1
+        assert f0(CDF_CEILING) == 1.0
+        for alpha in (-4.0, -1.0, 0.0, 1.0, 4.0):
+            assert f1(np.array([CDF_CEILING - 1.0, CDF_CEILING]), alpha).tolist() == [1.0, 1.0]
+        assert f1(30.0, -4.0) < 1.0
 
     def test_gaussian_tables(self):
         ts = np.linspace(-4.0, 4.0, 9)

@@ -11,15 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script, args, header", [
-    ("transition_curve.py", ["--n", "20", "--reps", "20"],
-     ["a", "mean_lambda_max", "predicted_location"]),
-    ("law_table.py", ["--steps", "3"],
-     ["T", "f0", "f1(alpha=-1)", "f1(alpha=0)", "f1(alpha=1)"]),
-    ("gap_vs_montecarlo.py", ["--n", "8", "--reps", "200"],
-     ["threshold", "gap_determinant", "gap_empirical"]),
-], ids=["transition_curve", "law_table", "gap_vs_montecarlo"])
-def test_script_runs(tmp_path, script, args, header):
+def _run(tmp_path, script, args):
+    """Run a script with ``--out out.csv``; returns its stdout and the path."""
     out = tmp_path / "out.csv"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -28,6 +21,33 @@ def test_script_runs(tmp_path, script, args, header):
                            "--out", str(out)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout, out
+
+
+@pytest.mark.parametrize("script, args, header", [
+    ("transition_curve.py", ["--n", "20", "--reps", "20"],
+     ["a", "mean_lambda_max", "predicted_location"]),
+    ("law_table.py", ["--steps", "3"],
+     ["T", "f0", "f1(alpha=-1)", "f1(alpha=0)", "f1(alpha=1)"]),
+    ("gap_vs_montecarlo.py", ["--n", "8", "--reps", "200"],
+     ["threshold", "gap_determinant", "gap_determinant_raw", "gap_empirical"]),
+], ids=["transition_curve", "law_table", "gap_vs_montecarlo"])
+def test_script_runs(tmp_path, script, args, header):
+    _, out = _run(tmp_path, script, args)
     rows = list(csv.reader(out.open()))
     assert rows[0] == header
     assert len(rows) > 1
+
+
+def test_gap_script_reports_raw_determinants(tmp_path):
+    # at n = 128, a = 0.5 three raw values fall below 0 (-0.00034 at 1.8)
+    stdout, out = _run(tmp_path, "gap_vs_montecarlo.py",
+                       ["--n", "128", "--a", "0.5", "--reps", "200"])
+    rows = list(csv.DictReader(out.open()))
+    raw = [float(r["gap_determinant_raw"]) for r in rows]
+    clamped = [float(r["gap_determinant"]) for r in rows]
+    # the clamped column is the raw one cut to [0, 1], to its 12 decimals
+    assert all(abs(c - min(max(v, 0.0), 1.0)) < 1e-12 for c, v in zip(clamped, raw))
+    outside = sum(not 0.0 <= v <= 1.0 for v in raw)
+    assert outside > 0
+    assert f"{outside} of {len(rows)} determinants outside [0, 1] clamped" in stdout

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -503,3 +505,70 @@ def test_convex_type_split(eq_gue, eq_quartic, eq_eynard, eq_shelf):
         assert convex_type(eq, critical_a(eq))
     for eq in (eq_eynard, eq_shelf):
         assert not convex_type(eq, critical_a(eq))
+
+
+def _outcome(solver, f, *args, **kwargs):
+    """(root or error type, the points f was called at) of one solve."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    try:
+        return solver(counted, *args, **kwargs), calls
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), calls
+
+
+class TestBrentq:
+    """transition._brentq is scipy's C brentq loop: the same root after the
+    same function calls, and the same errors.  scipy is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(roots=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+           scale=st.sampled_from([1e-8, 1.0, 1e6]),
+           ends=st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+           xtol=st.sampled_from([1e-22, 1e-15, 2e-12]))
+    def test_cubic_root_and_calls_equal_scipy(self, roots, scale, ends, xtol):
+        r1, r2, r3 = roots
+        lo, hi = ends
+
+        def f(x):
+            return scale * (x - r1) * (x - r2) * (x - r3)
+
+        fa, fb = f(lo), f(hi)
+        assume(fa != 0 and fb != 0 and (fa < 0) != (fb < 0))
+        # a flat triple root can exhaust maxiter; then both raise RuntimeError
+        assert (_outcome(transition._brentq, f, lo, hi, xtol=xtol)
+                == _outcome(brentq, f, lo, hi, xtol=xtol))
+
+    def test_exact_zero_at_an_end(self):
+        assert transition._brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert transition._brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+    def test_same_sign_ends_raise(self):
+        with pytest.raises(ValueError):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="different signs"):
+            transition._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nan_value_raises(self):
+        def f(x):
+            return math.nan if x > 0.5 else x - 0.75
+
+        with pytest.raises(ValueError):
+            brentq(f, 0.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            transition._brentq(f, 0.0, 1.0)
+
+    def test_maxiter_raises(self):
+        def f(x):
+            return math.cos(x) - x
+
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 2.0, maxiter=2)
+        with pytest.raises(RuntimeError, match="converge"):
+            transition._brentq(f, 0.0, 2.0, maxiter=2)
+        # given the iterations it needs, the same root as scipy
+        assert transition._brentq(f, 0.0, 2.0) == brentq(f, 0.0, 2.0)
