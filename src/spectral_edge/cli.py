@@ -102,14 +102,18 @@ def _numeric_stage(stage: str, fn, *args):
 def cmd_critical(args) -> int:
     from . import transition
 
+    if args.a is not None and args.a < 0:
+        raise InputError(f"critical: a = {args.a} must be non-negative")
+    if args.a_max is not None and args.a_max <= 0:
+        raise InputError(f"critical: a-max = {args.a_max} must be positive")
     V = _potential(args)
     out = _out_dir(args)
     eq = _solve(V)
     a_c = _numeric_stage("critical: a_c search", transition.critical_a, eq)
     half = 0.5 * eq.V.eval(eq.a1, 1)
+    a_max = 3.0 * half if args.a_max is None else args.a_max
     secondary = _numeric_stage("critical: secondary critical search",
-                               transition.secondary_criticals, eq, a_c + 1e-4,
-                               args.a_max or 3.0 * half)
+                               transition.secondary_criticals, eq, a_c + 1e-4, a_max)
     report = {
         "a_c": a_c,
         "half_Vprime_e": half,
@@ -207,18 +211,29 @@ def cmd_montecarlo(args) -> int:
     a = _spike(args, args.a if args.a is not None else 0.0).a
     if args.reps < 1:
         raise InputError(f"montecarlo: reps = {args.reps} must be at least 1")
-    if args.method == "mcmc" and args.n > sampler.MCMC_MAX_N:
+    direct = args.method == "direct-gaussian"
+    if direct and args.n > sampler.DIRECT_MAX_N:
+        raise InputError(f"montecarlo: n = {args.n} exceeds the direct-sampling cap "
+                         f"n <= {sampler.DIRECT_MAX_N}")
+    if direct and args.reps * args.n > sampler.DIRECT_MAX_VOLUME:
+        raise InputError(f"montecarlo: reps * n = {args.reps * args.n} exceeds the "
+                         f"direct-sampling cap reps * n <= {sampler.DIRECT_MAX_VOLUME}")
+    if not direct and args.n > sampler.MCMC_MAX_N:
         raise InputError(f"montecarlo: n = {args.n} exceeds the Metropolis cap "
                          f"n <= {sampler.MCMC_MAX_N}")
+    # chain k of a Metropolis run draws from the Philox key seed + k
+    per_chain = 500
+    chains = 1 if direct else (args.reps + per_chain - 1) // per_chain
+    if not 0 <= args.seed <= sampler.SEED_LIMIT - chains:
+        raise InputError(f"montecarlo: seed = {args.seed} must lie in [0, 2**128 - {chains}]: "
+                         f"chain k < {chains} draws from the Philox key seed + k")
     V = _potential(args)
     out = _out_dir(args)
-    if args.method == "direct-gaussian":
+    if direct:
         if V.label != "gue":
             raise InputError("direct sampling is only available for the gue potential")
         sample = sampler.sample_gaussian_spiked(args.n, a, args.reps, args.seed)
     else:
-        per_chain = 500
-        chains = max(1, (args.reps + per_chain - 1) // per_chain)
         results = []
         for idx in range(chains):
             cfg = sampler.McmcConfig(steps=per_chain * 2 + 800, burn_in=800,

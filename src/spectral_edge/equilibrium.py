@@ -26,11 +26,8 @@ __all__ = [
     "EquilibriumData",
     "NotOneCutError",
     "NotRegularError",
-    "RegularityReport",
-    "check_regular",
     "density_psi",
     "edge_beta",
-    "robin_constant",
     "solve_support",
 ]
 
@@ -39,6 +36,7 @@ _ENDPOINT_TOL = 1e-13
 _GRID_POINTS = 2001
 _LOG_BLOCK = 256        # rows of the log|x - s| matrix held at once (~1 MB)
 _REGULAR_TOL = 1e-11    # |2g - V - ell| counted as zero; eynard(3,0) reads -8.3e-14
+_CSV_POINTS = 400       # rows of density.csv
 
 
 class NotOneCutError(RuntimeError):
@@ -164,8 +162,7 @@ class EquilibriumData:
         480 quadrature nodes, contracted with the weighted density.  Rows are
         taken in blocks of ``_LOG_BLOCK`` points so that a scan grid never
         holds the whole matrix.  Accurate at the endpoints and outside the
-        support; inside the cut the integrand is singular and the adaptive
-        route of ``g`` applies.
+        support; inside the cut the integrand is singular.
         """
         xv = np.asarray(x, dtype=float)
         flat = xv.ravel()
@@ -177,18 +174,6 @@ class EquilibriumData:
             np.log(logs, out=logs)
             vals[i:i + _LOG_BLOCK] = logs @ weights
         return float(vals[0]) if xv.ndim == 0 else vals.reshape(xv.shape)
-
-    def _g0_interior(self, x: float) -> float:
-        # log |x - s| with the singular point inside the cut; adaptive
-        # quadrature is only used by the robin_constant cross-check, never in
-        # the hot paths.
-        from scipy.integrate import quad
-
-        def integrand(s):
-            return (math.log(abs(x - s)) * horner(self._h, s)
-                    * math.sqrt(max((s - self.b0) * (self.a1 - s), 0.0)) / (2.0 * np.pi))
-        val, _ = quad(integrand, self.b0, self.a1, points=[x], limit=200)
-        return val
 
     def g_deriv(self, z, m: int):
         """m-th derivative (m >= 1) of the log-potential at a point or array z > a1.
@@ -292,62 +277,12 @@ def density_psi(eq: EquilibriumData, x) -> float:
     return float(val) if np.isscalar(x) else val
 
 
-def robin_constant(eq: EquilibriumData, consistency_tol: float = 1e-5) -> float:
-    """The variational constant, evaluated at the edge and cross-checked inside."""
-    ell_edge = 2.0 * eq._g0(eq.a1) - eq.V.eval(eq.a1)
-    mid = 0.5 * (eq.b0 + eq.a1)
-    ell_mid = 2.0 * eq._g0_interior(mid) - eq.V.eval(mid)
-    if abs(ell_edge - ell_mid) > consistency_tol:
-        raise NotOneCutError(
-            f"variational equality inconsistent: edge {ell_edge:.10f} vs midpoint {ell_mid:.10f}"
-        )
-    return ell_edge
-
-
 def edge_beta(eq: EquilibriumData) -> float:
     """Edge constant: (h(a1)/2)^(2/3) (a1-b0)^(1/3), positive for a regular edge."""
     h_edge = horner(eq._h, float(eq.a1))
     if h_edge <= 0:
         raise NotOneCutError("prefactor vanishes at the upper edge; edge is not regular")
     return (0.5 * h_edge) ** (2.0 / 3.0) * (eq.a1 - eq.b0) ** (1.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    passed: bool
-    h_min_inside: float
-    worst_margin_right: float
-    worst_margin_left: float
-    worst_right_at: float
-    worst_left_at: float
-
-
-def check_regular(eq: EquilibriumData) -> RegularityReport:
-    """Positivity of the density prefactor inside, strict negativity outside.
-
-    The outside margins are the effective potential at its only peaks off
-    the cut (``-inf`` on a side without one); they must stay below the
-    rounding bound that ``solve_support`` applies.
-    """
-    grid = np.linspace(eq.b0, eq.a1, 200)
-    h_min = float(horner(eq._h, grid).min())
-    xs, vals = _off_cut_peaks(eq)
-
-    def worst(side: np.ndarray) -> tuple[float, float]:
-        if not side.any():
-            return -math.inf, math.nan
-        k = np.flatnonzero(side)[np.argmax(vals[side])]
-        return float(vals[k]), float(xs[k])
-
-    (right, right_at), (left, left_at) = worst(xs > eq.a1), worst(xs < eq.b0)
-    return RegularityReport(
-        passed=h_min > 0 and max(right, left) < -_REGULAR_TOL,
-        h_min_inside=h_min,
-        worst_margin_right=right,
-        worst_margin_left=left,
-        worst_right_at=right_at,
-        worst_left_at=left_at,
-    )
 
 
 def to_json(eq: EquilibriumData) -> dict:
@@ -361,8 +296,8 @@ def to_json(eq: EquilibriumData) -> dict:
     }
 
 
-def density_csv(eq: EquilibriumData, path, num: int = 400) -> None:
-    xs = np.linspace(eq.b0, eq.a1, num)
+def density_csv(eq: EquilibriumData, path) -> None:
+    xs = np.linspace(eq.b0, eq.a1, _CSV_POINTS)
     ys = density_psi(eq, xs)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -24,7 +24,6 @@ __all__ = [
     "OrthoSystem",
     "SpikedKernel",
     "build_ortho",
-    "cd_kernel_matrix",
     "choose_halfwidth",
     "gap_probability",
 ]
@@ -35,6 +34,7 @@ MAX_N = 128
 _UNDERFLOW_LOG = 330.0 * math.log(10.0)
 _NODES_PER_FUNCTION = 16
 _MIN_GRID = 512
+_GAP_NODES = 160        # Gauss-Legendre nodes per interval of a gap determinant
 
 
 class GridError(RuntimeError):
@@ -84,29 +84,23 @@ class OrthoSystem:
         return out
 
 
-def build_ortho(V: Potential, n: int, count: int, L: float | None = None,
-                m_grid: int | None = None, a_hint: float = 0.0) -> OrthoSystem:
+def build_ortho(V: Potential, n: int, count: int, a_hint: float = 0.0) -> OrthoSystem:
     """Stieltjes construction of the weighted orthonormal system.
 
     The recurrence runs directly on the weighted function values, with a
-    double full re-orthogonalization per step; the grid defaults to sixteen
-    nodes per function, which keeps the discrete system within rounding of
-    the continuum one for all supported sizes.
+    double full re-orthogonalization per step, on [-L, L] with L from
+    ``choose_halfwidth``; the grid takes sixteen nodes per function, which
+    keeps the discrete system within rounding of the continuum one for all
+    supported sizes.
     """
     if n > MAX_N:
         raise ValueError(f"n capped at {MAX_N} for determinant work")
     if count < 2 or count > n + 4:
         raise ValueError("count must lie in 2..n+4")
-    if L is None:
-        L = choose_halfwidth(V, n, a_hint)
-    if 0.5 * n * min(V.eval(L), V.eval(-L)) <= _UNDERFLOW_LOG:
-        raise GridError("weight not negligible at the grid boundary")
-    if m_grid is None:
-        # both enough nodes per function and enough nodes per unit length;
-        # small n forces a wide underflow-safe box that must stay resolved
-        m_grid = max(_NODES_PER_FUNCTION * count, _MIN_GRID, int(math.ceil(24.0 * L)))
-    if m_grid < 8 * count:
-        raise ValueError("grid too coarse: need at least eight nodes per function")
+    L = choose_halfwidth(V, n, a_hint)
+    # both enough nodes per function and enough nodes per unit length;
+    # small n forces a wide underflow-safe box that must stay resolved
+    m_grid = max(_NODES_PER_FUNCTION * count, _MIN_GRID, int(math.ceil(24.0 * L)))
     rule = gauss_legendre(m_grid, -L, L)
     x, w = rule.nodes, rule.weights
 
@@ -144,14 +138,6 @@ def build_ortho(V: Potential, n: int, count: int, L: float | None = None,
     return system
 
 
-def cd_kernel_matrix(ortho: OrthoSystem, j: int, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Reproducing-kernel matrix K(x_p, y_q) of the first n-j functions."""
-    nj = ortho.n - j
-    px = ortho.psi_at(np.asarray(x, dtype=float))
-    py = px if y is None else ortho.psi_at(np.asarray(y, dtype=float))
-    return px[:nj].T @ py[:nj]
-
-
 @dataclass
 class SpikedKernel:
     """Rank-one spiked correlation kernel K_{n-j} + psi~ (x) psi_{n-j}(y)."""
@@ -162,11 +148,6 @@ class SpikedKernel:
     log_shift: float = 0.0                       # max over the grid of n(a x - V/2)
     gamma_scaled: np.ndarray = field(default=None, repr=False)  # Gamma_i e^{-shift}
     tilde_psi_values: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def Gamma_log(self) -> float:
-        """log |Gamma_{n-j}(a)| recombined from the scaled value."""
-        return self.log_shift + math.log(abs(float(self.gamma_scaled[self.ortho.n - self.j])))
 
     def tilt_scaled(self, x: np.ndarray) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
@@ -224,8 +205,7 @@ def build_spiked(ortho: OrthoSystem, a: float, j: int = 1) -> SpikedKernel:
     return sk
 
 
-def gap_probability_raw(sk: SpikedKernel, intervals, m_nodes: int = 160,
-                        factored: bool = True) -> float:
+def gap_probability_raw(sk: SpikedKernel, intervals, factored: bool = True) -> float:
     """Unclamped gap determinant over a finite union of intervals.
 
     Right-unbounded parts are truncated at the grid half-width where the
@@ -246,7 +226,7 @@ def gap_probability_raw(sk: SpikedKernel, intervals, m_nodes: int = 160,
             segs.append((lo, hi))
     if not segs:
         return 1.0
-    rules = [gauss_legendre(m_nodes, lo, hi) for lo, hi in segs]
+    rules = [gauss_legendre(_GAP_NODES, lo, hi) for lo, hi in segs]
     xs = np.concatenate([r.nodes for r in rules])
     ws = np.concatenate([r.weights for r in rules])
     sw = np.sqrt(ws)
@@ -263,10 +243,9 @@ def gap_probability_raw(sk: SpikedKernel, intervals, m_nodes: int = 160,
     return float(np.linalg.det(ident - Mt))
 
 
-def gap_probability(sk: SpikedKernel, intervals, m_nodes: int = 160,
-                    factored: bool = True) -> float:
+def gap_probability(sk: SpikedKernel, intervals, factored: bool = True) -> float:
     """Probability of no eigenvalue in a finite union of intervals."""
-    raw = gap_probability_raw(sk, intervals, m_nodes, factored)
+    raw = gap_probability_raw(sk, intervals, factored)
     if raw < 0.0 or raw > 1.0:
         log.debug("gap probability %.6e clamped to [0, 1]", raw)
     return min(max(raw, 0.0), 1.0)

@@ -42,7 +42,6 @@ __all__ = [
     "AiryDiscretization",
     "LimitLaw",
     "c_alpha",
-    "c_alpha_contour",
     "f0",
     "f1",
     "mixture_weights",
@@ -219,31 +218,6 @@ def c_alpha(xi, alpha: float) -> float | np.ndarray:
     return float(out) if arr.ndim == 0 else out
 
 
-def c_alpha_contour(xi: float, alpha: float, radius: float = 30.0, m: int = 700) -> float:
-    """Contour-integral route for the deformation profile.
-
-    Rays toward infinity at angles 5*pi/6 and pi/6 from a vertex just below
-    the origin; when the integrand pole z = i*alpha sits below that vertex
-    (alpha < -0.5) the crossing residue exp(alpha^3/3 - alpha*xi) is added.
-    """
-    if radius > ENVELOPE_RADIUS:
-        raise ValueError("contour radius beyond the Airy accuracy envelope")
-    delta = 0.5
-    vertex = -1j * delta
-    t, w = legendre_reference(m)
-    r = 0.5 * radius * (t + 1.0)
-    rw = 0.5 * radius * w
-    total = 0.0 + 0.0j
-    for ang, sign in ((5.0 * math.pi / 6.0, -1.0), (math.pi / 6.0, 1.0)):
-        zs = vertex + r * np.exp(1j * ang)
-        f = np.exp(1j * zs ** 3 / 3.0 + 1j * xi * zs) / (alpha + 1j * zs)
-        total += sign * np.exp(1j * ang) * np.dot(rw, f)
-    val = total / (2.0 * math.pi)
-    if alpha < -delta:
-        val = val + math.exp(alpha ** 3 / 3.0 - alpha * xi)
-    return float(val.real)
-
-
 def f1(T, alpha: float, m: int = DEFAULT_NODES):
     """Deformed critical edge law: f0 times (1 - <resolvent profile, Ai>).
 
@@ -359,16 +333,16 @@ class LimitLaw:
     def rescale(self, lam, n: int):
         return (np.asarray(lam, dtype=float) - self.center) * self.scale_const * n ** self.scale_exponent
 
-    def cdf_standard(self, t, m: int = DEFAULT_NODES):
+    def cdf_standard(self, t):
         """CDF in the law's own standardized variable (non-mixture kinds)."""
         tv = np.atleast_1d(np.asarray(t, dtype=float))
         # f0 and f1 are 0 at the floor, so lifting t to it answers any t left of it.
         if self.kind == "F0":
-            out = f0(np.maximum(tv, CDF_FLOOR), m)
+            out = f0(np.maximum(tv, CDF_FLOOR))
         elif self.kind == "F1":
             # The deformed law for spike offset alpha is the profile-deformed
             # determinant at parameter -alpha.
-            out = f1(np.maximum(tv, CDF_FLOOR), -self.alpha, m)
+            out = f1(np.maximum(tv, CDF_FLOOR), -self.alpha)
         elif self.kind == "Gauss":
             out = normal_cdf(tv)
         elif self.kind == "GenGauss":
@@ -377,15 +351,15 @@ class LimitLaw:
             raise ValueError("mixtures have no single standardized variable; use cdf_lambda")
         return float(out[0]) if np.isscalar(t) else out
 
-    def cdf_lambda(self, lam, n: int, m: int = DEFAULT_NODES):
+    def cdf_lambda(self, lam, n: int):
         """CDF of the largest eigenvalue location at finite n under this law."""
         lv = np.atleast_1d(np.asarray(lam, dtype=float))
         if self.kind == "Mixture":
             out = np.zeros_like(lv)
             for w, comp in self.components:
-                out += w * comp.cdf_lambda(lv, n, m)
+                out += w * comp.cdf_lambda(lv, n)
         else:
-            out = self.cdf_standard(self.rescale(lv, n), m)
+            out = self.cdf_standard(self.rescale(lv, n))
             out = np.asarray(out)
         return float(out[0]) if np.isscalar(lam) else out
 

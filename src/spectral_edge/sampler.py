@@ -11,8 +11,7 @@ simplex (the rank-one HCIZ identity).  The chain samples (lambda, q) jointly
 from the integrand: a single-site eigenvalue move costs O(n) and a move on
 a pair of weights at fixed sum is an exact draw from its truncated
 exponential conditional, so a sweep costs O(n^2) and never forms the
-divided difference.  ``dd_exp_log`` and ``log_density_rank1`` evaluate the
-marginal density directly, as an oracle for the chain.
+divided difference.
 """
 
 from __future__ import annotations
@@ -30,11 +29,9 @@ from .potential import Potential
 __all__ = [
     "EdgeSample",
     "McmcConfig",
-    "dd_exp_log",
     "ks_distance",
     "ks_two_sample",
     "load_sample",
-    "log_density_rank1",
     "mcmc_sample",
     "sample_gaussian_spiked",
     "save_sample",
@@ -42,7 +39,12 @@ __all__ = [
 ]
 
 RNG_FAMILY = "philox"
+SEED_LIMIT = 2 ** 128   # a Philox key lies in [0, SEED_LIMIT)
+DIRECT_MAX_N = 2000
+DIRECT_MAX_VOLUME = 8 * 10 ** 6     # most reps * n of one direct-sampling call
 MCMC_MAX_N = 64         # each Metropolis sweep costs O(n^2)
+# Starting width of the single-site Gaussian proposals; burn-in adapts it.
+PROPOSAL_SCALE = 0.25
 # One Metropolis sweep: LAMBDA_PASSES passes of single-site eigenvalue moves
 # over every site, then PAIR_PASSES random pairings of the spike weights.
 LAMBDA_PASSES = 2
@@ -98,9 +100,9 @@ def sample_gaussian_spiked(n: int, a: float, reps: int, seed: int = 0) -> EdgeSa
     # imported here so that the Metropolis path loads no scipy
     from scipy.linalg import eigvalsh_tridiagonal
 
-    if n > 2000:
-        raise ValueError("n capped at 2000 for direct sampling")
-    if reps * n > 10 ** 6 * 8:
+    if n > DIRECT_MAX_N:
+        raise ValueError(f"n capped at {DIRECT_MAX_N} for direct sampling")
+    if reps * n > DIRECT_MAX_VOLUME:
         raise ValueError("requested sample volume too large")
     rng = _rng(seed)
     out = np.empty(reps)
@@ -118,76 +120,16 @@ def sample_gaussian_spiked(n: int, a: float, reps: int, seed: int = 0) -> EdgeSa
     return EdgeSample(out, n=n, a=a, j=1, potential_label="gue", seed=seed, method="direct-gaussian")
 
 
-def dd_exp_log(lams: np.ndarray, c: float) -> float:
-    """log of the divided difference of exp(c*x) over the nodes.
-
-    Corner entry of the exponential of the bidiagonal matrix with c*(node -
-    max) on the diagonal and c on the superdiagonal, by Taylor plus
-    scaling-and-squaring.  The diagonal is <= 0 but the off-diagonal part is
-    nonnegative, and the scaled matrix has norm <= 2, so any cancellation is
-    confined to the bounded Taylor phase; the squarings act on exp(A), whose
-    entries are all nonnegative.  The max-node shift is restored additively.
-    """
-    lams = np.asarray(lams, dtype=float)
-    nn = lams.size
-    if nn == 1:
-        return c * float(lams[0])
-    mx = float(lams.max())
-    B = np.diag(c * (lams - mx)) + np.diag(np.full(nn - 1, c), 1)
-    norm = float(np.abs(B).sum(axis=1).max())
-    s = max(0, int(math.ceil(math.log2(norm))) - 1) if norm > 1 else 0
-    A = B / (2.0 ** s)
-    X = np.eye(nn)
-    term = np.eye(nn)
-    for k in range(1, 18):
-        term = term @ A / k
-        X = X + term
-    for _ in range(s):
-        X = X @ X
-    corner = float(X[0, -1])
-    if corner <= 0 or not math.isfinite(corner):
-        raise FloatingPointError("divided difference lost positivity")
-    return c * mx + math.log(corner)
-
-
-def log_density_rank1(lams: np.ndarray, V: Potential, n: int, a: float) -> float:
-    """Unnormalized log density of the eigenvalues of the rank-one model.
-
-    Repulsion + confinement + the rank-one tilt factor; with no spike the
-    tilt drops and the density is the pure confined log-gas.
-    """
-    lams = np.sort(np.asarray(lams, dtype=float))
-    nn = lams.size
-    # the density is symmetric, so work with the sorted values and cascade a
-    # minimal separation through any (near-)ties
-    for i in range(1, nn):
-        if lams[i] - lams[i - 1] < 1e-12:
-            lams[i] = lams[i - 1] + 1e-12
-    diffs = lams[:, None] - lams[None, :]
-    iu = np.triu_indices(nn, 1)
-    rep = 2.0 * float(np.sum(np.log(np.abs(diffs[iu]))))
-    conf = -n * float(np.sum(V.eval(lams)))
-    if a == 0.0:
-        return rep + conf
-    val = rep + conf + dd_exp_log(lams, n * a)
-    if not math.isfinite(val):
-        raise FloatingPointError("non-finite log density")
-    return val
-
-
 @dataclass(frozen=True)
 class McmcConfig:
     steps: int = 4000
     burn_in: int = 800
     thinning: int = 2
-    proposal_scale: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
         if self.burn_in >= self.steps:
             raise ValueError("burn-in must be shorter than the chain")
-        if self.proposal_scale <= 0:
-            raise ValueError("proposal scale must be positive")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
 
@@ -232,7 +174,7 @@ def mcmc_sample(V: Potential, n: int, a: float, cfg: McmcConfig) -> EdgeSample:
     logs = np.log(np.abs(np.subtract.outer(lams, lams)) + np.eye(n))
     v_lams = V.eval(lams)
     half = n // 2
-    scale = cfg.proposal_scale
+    scale = PROPOSAL_SCALE
     kept = []
     window_acc = window_prop = 0
     accepted_after = proposed_after = 0
@@ -287,7 +229,7 @@ def mcmc_sample(V: Potential, n: int, a: float, cfg: McmcConfig) -> EdgeSample:
                       seed=cfg.seed, method="mcmc", acceptance=rate)
 
 
-def ks_distance(sample: EdgeSample, law, m: int = 40, cdf_grid: int = 200) -> float:
+def ks_distance(sample: EdgeSample, law, cdf_grid: int = 200) -> float:
     """Sup distance between the empirical CDF of the draws and the law's CDF.
 
     For large samples the law CDF is evaluated on a dense grid spanning the
@@ -300,10 +242,10 @@ def ks_distance(sample: EdgeSample, law, m: int = 40, cdf_grid: int = 200) -> fl
         lo, hi = lam[0], lam[-1]
         pad = 1e-9 * max(1.0, abs(hi - lo))
         grid = np.linspace(lo - pad, hi + pad, cdf_grid)
-        cdf_on_grid = law.cdf_lambda(grid, sample.n, m)
+        cdf_on_grid = law.cdf_lambda(grid, sample.n)
         cdf = np.interp(lam, grid, cdf_on_grid)
     else:
-        cdf = np.atleast_1d(law.cdf_lambda(lam, sample.n, m))
+        cdf = np.atleast_1d(law.cdf_lambda(lam, sample.n))
     upper = np.max(np.abs(np.arange(1, k + 1) / k - cdf))
     lower = np.max(np.abs(np.arange(0, k) / k - cdf))
     return float(max(upper, lower))

@@ -7,8 +7,7 @@ pass of it is about ten times faster than scipy on the right tail, where
 the Nystrom windows and the c_alpha panels put many of their nodes; left
 of -8 it is evaluated on the rays e^{+-i pi/3} and combined into Ai(-x).
 Against mpmath the pair is within 4e-14 (Ai) and 3e-13 (Ai') of
-max(1, |value|) on [-50, 120].  Arguments off the positive real axis must
-satisfy |z| <= 50, the accuracy envelope the kernel windows respect.
+max(1, |value|) on [-50, 120].
 
 Gauss-Legendre rules are built in O(m^2): LAPACK ``dsterf`` takes the
 eigenvalues of the tridiagonal Jacobi matrix (Golub-Welsch), then numpy's
@@ -30,9 +29,7 @@ from scipy.special import airy, erfc, gammaincc
 
 __all__ = [
     "QuadratureRule",
-    "airy_ai",
     "airy_ai_pair",
-    "airy_ai_prime",
     "gauss_legendre",
     "gen_gauss_cdf",
     "legendre_reference",
@@ -46,31 +43,6 @@ _ASYMPTOTIC_RADIUS = 8.0
 
 class AiryDomainError(ValueError):
     """Argument outside the documented accuracy envelope."""
-
-
-def _airy_in_envelope(z):
-    arr = np.asarray(z)
-    # the envelope does not bind on the positive real axis, where Ai decays
-    # monotonically to an exact zero
-    outside = (np.abs(arr) > ENVELOPE_RADIUS) & ~((arr.imag == 0.0) & (arr.real > 0.0))
-    if np.any(outside):
-        worst = float(np.max(np.abs(arr[outside])))
-        raise AiryDomainError(f"|z| = {worst:.3g} exceeds the accuracy envelope {ENVELOPE_RADIUS}")
-    ai, aip, _, _ = airy(z)
-    return ai, aip
-
-
-def airy_ai(z):
-    """Airy function Ai at real or complex arguments (scalar or array).
-
-    Raises :class:`AiryDomainError` beyond |z| = 50 off the positive real axis.
-    """
-    return _airy_in_envelope(z)[0]
-
-
-def airy_ai_prime(z):
-    """Derivative Ai' with the same domain as :func:`airy_ai`."""
-    return _airy_in_envelope(z)[1]
 
 
 def _asym_pair_vec(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

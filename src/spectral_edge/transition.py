@@ -19,7 +19,7 @@ is one ``brentq`` on a known sign change:
   run holds at most one: the root of W - a on the run, clipped to the scan
   window from the float after c(a) to the certified tail.
 * a_c is the root of phi(a) - 1e-12, phi = sup_{x >= c} G(x) - H(c): phi is
-  continuous and increasing (phi' = x0 - c), so [a_lo, V'(e)/2] brackets it,
+  continuous and increasing (phi' = x0 - c), so [1e-4, V'(e)/2] brackets it,
   and a_c = V'(e)/2 (convex type) when phi stays below the margin up to there.
 * A switch of the global maximizer is a tie between the maxima x_i(a) < x_j(a)
   of two runs i < j, at a tilt both runs cross: a root of
@@ -71,7 +71,9 @@ _C_MAX_OFFSET = 1e6
 _FLAT_TOL = 1e-6
 _DETACH_TOL = 1e-12     # phi must beat this for detachment to count
 _ROOT_TOL = 1e-15       # brentq xtol for every root
-_A_LO = 1e-4            # default lower bracket of the a_c search
+_A_LO = 1e-4            # lower bracket of the a_c search
+_CSV_SPAN = 6.0         # comparison.csv tabulates x in [e, e + _CSV_SPAN]
+_CSV_POINTS = 400
 
 
 def _brentq(f, a: float, b: float, xtol: float = 2e-12,
@@ -268,13 +270,10 @@ def in_A_V(eq: EquilibriumData, a: float) -> bool:
     return _phi(eq, a, scan(eq, a)) > _DETACH_TOL
 
 
-def critical_a(eq: EquilibriumData, a_lo: float = _A_LO) -> float:
-    """Infimum spike strength at which detachment wins: the root of phi - 1e-12.
-
-    With the default lower bracket the value is computed once per
-    equilibrium and kept on it.
-    """
-    if a_lo == _A_LO and eq._a_c is not None:
+def critical_a(eq: EquilibriumData) -> float:
+    """Infimum spike strength at which detachment wins: the root of phi - 1e-12,
+    computed once per equilibrium and kept on it."""
+    if eq._a_c is not None:
         return eq._a_c
     half_vp = 0.5 * eq.V.eval(eq.a1, 1)
     seen = {}
@@ -285,16 +284,14 @@ def critical_a(eq: EquilibriumData, a_lo: float = _A_LO) -> float:
             seen[a] = _phi(eq, a, scan(eq, a)) - _DETACH_TOL
         return seen[a]
 
-    if excess(a_lo) > 0:
-        raise ValueError("a_lo too large: detachment already favourable at the lower bracket")
+    if excess(_A_LO) > 0:
+        raise ValueError(f"detachment already favourable at the lower bracket a = {_A_LO:g}")
     if excess(half_vp) <= 0:
         # Convex-type potential: the critical value is the edge slope itself.
-        a_c = half_vp
+        eq._a_c = half_vp
     else:
-        a_c = _brentq(excess, a_lo, half_vp, xtol=_ROOT_TOL)
-    if a_lo == _A_LO:
-        eq._a_c = a_c
-    return a_c
+        eq._a_c = _brentq(excess, _A_LO, half_vp, xtol=_ROOT_TOL)
+    return eq._a_c
 
 
 def convex_type(eq: EquilibriumData, a_c: float) -> bool:
@@ -415,9 +412,9 @@ def fluct_scale(eq: EquilibriumData, a: float, x_star: float, k: int = 1) -> flo
     return (d / math.factorial(2 * k)) ** (1.0 / (2 * k))
 
 
-def comparison_csv(eq: EquilibriumData, a_values, path, x_max_offset: float = 6.0, num: int = 400) -> None:
+def comparison_csv(eq: EquilibriumData, a_values, path) -> None:
     """Table of (x, G(x;a), H(x;a)) columns for each requested tilt."""
-    xs = np.linspace(eq.a1, eq.a1 + x_max_offset, num)
+    xs = np.linspace(eq.a1, eq.a1 + _CSV_SPAN, _CSV_POINTS)
     cols = {}
     for a in a_values:
         cols[a] = (G_fn(eq, a, xs), H_fn(eq, a, xs))

@@ -1,0 +1,135 @@
+"""Reference routes the tests compare the library against.
+
+Each one computes a quantity the library also computes, by a different
+method: the deformation profile by a contour integral, the variational
+constant by adaptive quadrature inside the cut, and the rank-one eigenvalue
+density through the exponential divided difference that the Metropolis
+chain never forms.  Ai at complex arguments, which the library never
+evaluates through scipy, is here for the rotation identity.
+"""
+
+import math
+
+import numpy as np
+from scipy.integrate import quad
+from scipy.special import airy
+
+from spectral_edge.equilibrium import EquilibriumData, NotOneCutError
+from spectral_edge.potential import Potential, horner
+from spectral_edge.specialfn import ENVELOPE_RADIUS, legendre_reference
+
+
+def complex_ai(z) -> complex:
+    """Ai at a complex argument, from ``scipy.special.airy``.
+
+    scipy returns a wrong value on the negative real axis when the imaginary
+    part is -0.0: at z = -2 - 0j it gives -0.114 + 0.206j, against
+    Ai(-2) = 0.227.  Ai is entire, and adding 0j turns an imaginary part of
+    -0.0 into +0.0 and moves no other argument, so the value is Ai(z).
+    """
+    return complex(airy(complex(z) + 0j)[0])
+
+
+def c_alpha_contour(xi: float, alpha: float, radius: float = 30.0, m: int = 700) -> float:
+    """Contour-integral route for the deformation profile.
+
+    Rays toward infinity at angles 5*pi/6 and pi/6 from a vertex just below
+    the origin; when the integrand pole z = i*alpha sits below that vertex
+    (alpha < -0.5) the crossing residue exp(alpha^3/3 - alpha*xi) is added.
+    """
+    if radius > ENVELOPE_RADIUS:
+        raise ValueError("contour radius beyond the Airy accuracy envelope")
+    delta = 0.5
+    vertex = -1j * delta
+    t, w = legendre_reference(m)
+    r = 0.5 * radius * (t + 1.0)
+    rw = 0.5 * radius * w
+    total = 0.0 + 0.0j
+    for ang, sign in ((5.0 * math.pi / 6.0, -1.0), (math.pi / 6.0, 1.0)):
+        zs = vertex + r * np.exp(1j * ang)
+        f = np.exp(1j * zs ** 3 / 3.0 + 1j * xi * zs) / (alpha + 1j * zs)
+        total += sign * np.exp(1j * ang) * np.dot(rw, f)
+    val = total / (2.0 * math.pi)
+    if alpha < -delta:
+        val = val + math.exp(alpha ** 3 / 3.0 - alpha * xi)
+    return float(val.real)
+
+
+def g0_interior(eq: EquilibriumData, x: float) -> float:
+    """Integral of log|x - s| against the density at x inside the cut, by
+    adaptive quadrature with the singular point declared."""
+
+    def integrand(s):
+        return (math.log(abs(x - s)) * horner(eq._h, s)
+                * math.sqrt(max((s - eq.b0) * (eq.a1 - s), 0.0)) / (2.0 * np.pi))
+    val, _ = quad(integrand, eq.b0, eq.a1, points=[x], limit=200)
+    return val
+
+
+def robin_constant(eq: EquilibriumData, consistency_tol: float = 1e-5) -> float:
+    """The variational constant, evaluated at the edge and cross-checked inside."""
+    ell_edge = 2.0 * eq._g0(eq.a1) - eq.V.eval(eq.a1)
+    mid = 0.5 * (eq.b0 + eq.a1)
+    ell_mid = 2.0 * g0_interior(eq, mid) - eq.V.eval(mid)
+    if abs(ell_edge - ell_mid) > consistency_tol:
+        raise NotOneCutError(
+            f"variational equality inconsistent: edge {ell_edge:.10f} vs midpoint {ell_mid:.10f}"
+        )
+    return ell_edge
+
+
+def dd_exp_log(lams: np.ndarray, c: float) -> float:
+    """log of the divided difference of exp(c*x) over the nodes.
+
+    Corner entry of the exponential of the bidiagonal matrix with c*(node -
+    max) on the diagonal and c on the superdiagonal, by Taylor plus
+    scaling-and-squaring.  The diagonal is <= 0 but the off-diagonal part is
+    nonnegative, and the scaled matrix has norm <= 2, so any cancellation is
+    confined to the bounded Taylor phase; the squarings act on exp(A), whose
+    entries are all nonnegative.  The max-node shift is restored additively.
+    """
+    lams = np.asarray(lams, dtype=float)
+    nn = lams.size
+    if nn == 1:
+        return c * float(lams[0])
+    mx = float(lams.max())
+    B = np.diag(c * (lams - mx)) + np.diag(np.full(nn - 1, c), 1)
+    norm = float(np.abs(B).sum(axis=1).max())
+    s = max(0, int(math.ceil(math.log2(norm))) - 1) if norm > 1 else 0
+    A = B / (2.0 ** s)
+    X = np.eye(nn)
+    term = np.eye(nn)
+    for k in range(1, 18):
+        term = term @ A / k
+        X = X + term
+    for _ in range(s):
+        X = X @ X
+    corner = float(X[0, -1])
+    if corner <= 0 or not math.isfinite(corner):
+        raise FloatingPointError("divided difference lost positivity")
+    return c * mx + math.log(corner)
+
+
+def log_density_rank1(lams: np.ndarray, V: Potential, n: int, a: float) -> float:
+    """Unnormalized log density of the eigenvalues of the rank-one model.
+
+    Repulsion + confinement + the rank-one tilt factor; with no spike the
+    tilt drops and the density is the pure confined log-gas.
+    """
+    lams = np.sort(np.asarray(lams, dtype=float))
+    nn = lams.size
+    # the density is symmetric, so work with the sorted values and cascade a
+    # minimal separation through any (near-)ties
+    for i in range(1, nn):
+        if lams[i] - lams[i - 1] < 1e-12:
+            lams[i] = lams[i - 1] + 1e-12
+    diffs = lams[:, None] - lams[None, :]
+    iu = np.triu_indices(nn, 1)
+    rep = 2.0 * float(np.sum(np.log(np.abs(diffs[iu]))))
+    conf = -n * float(np.sum(V.eval(lams)))
+    if a == 0.0:
+        return rep + conf
+    val = rep + conf + dd_exp_log(lams, n * a)
+    if not math.isfinite(val):
+        raise FloatingPointError("non-finite log density")
+    return val

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +306,34 @@ class TestSpikeValidation:
         assert argv[0] in err and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        (["montecarlo", "--seed", "-1"], "seed = -1"),
+        (["montecarlo", "--method", "mcmc", "--n", "8", "--seed", "-1"], "seed = -1"),
+        # three chains of 500 draws use the keys seed, seed + 1 and seed + 2
+        (["montecarlo", "--method", "mcmc", "--n", "8", "--reps", "1200",
+          "--seed", str(2 ** 128 - 2)], f"seed = {2 ** 128 - 2}"),
+        (["montecarlo", "--seed", str(2 ** 128)], f"seed = {2 ** 128}"),
+        (["montecarlo", "--n", "2001"], "n = 2001"),
+        (["montecarlo", "--n", "2000", "--reps", "4001"], "reps * n = 8002000"),
+        (["critical", "--a-max", "0"], "a-max = 0.0"),
+        (["critical", "--a-max", "-1"], "a-max = -1.0"),
+        (["critical", "--a", "-0.5"], "a = -0.5"),
+    ], ids=["direct-negative-seed", "mcmc-negative-seed", "mcmc-last-chain-key",
+            "direct-key-overflow", "direct-n-cap", "direct-volume-cap", "critical-a-max-zero",
+            "critical-a-max-negative", "critical-negative-a"])
+    def test_bad_run_input_is_input_error(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "x"
+        assert run([*argv, "--potential", "gue", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {argv[0]}: ") and named in err
+        assert not out.exists()
+
+    def test_largest_seed_samples(self, tmp_path):
+        out = tmp_path / "mc"
+        assert run(["montecarlo", "--potential", "gue", "--n", "4", "--reps", "10",
+                    "--seed", str(2 ** 128 - 1), "--out", str(out)]) == 0
+        assert json.loads((out / "samples.json").read_text())["seed"] == 2 ** 128 - 1
+
     @pytest.mark.parametrize("reps", ["0", "-5"])
     def test_empty_sample_request_is_input_error(self, tmp_path, capsys, reps):
         out = tmp_path / "mc"
@@ -380,6 +409,29 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_block() -> list:
+    """The argv of each command in the fenced block of the README's CLI section."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("spectral-edge ")]
+
+
+class TestReadmeCliBlock:
+    def test_every_command_exits_zero(self, tmp_path, monkeypatch):
+        # the block's --out paths are relative, so they land under tmp_path;
+        # 400 draws keep the sampling short
+        commands = readme_cli_block()
+        assert "compare" in [argv[0] for argv in commands]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            if "--reps" in argv:
+                argv[argv.index("--reps") + 1] = "400"
+            assert run(argv) == 0, argv
 
 
 def _fresh_process(code: str, *args, cwd) -> list:

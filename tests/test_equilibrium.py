@@ -6,18 +6,19 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from spectral_edge.equilibrium import (
+    _REGULAR_TOL,
     NotOneCutError,
-    check_regular,
+    _off_cut_peaks,
     density_psi,
     edge_beta,
-    robin_constant,
     solve_support,
     to_json,
 )
-from spectral_edge.potential import GUE, Potential, eynard_potential
+from spectral_edge.potential import GUE, Potential, eynard_potential, horner
 from spectral_edge.specialfn import gauss_legendre
 
 from conftest import gue_g_prime
+from oracles import g0_interior, robin_constant
 
 
 class TestSupport:
@@ -151,7 +152,7 @@ class TestRobinConstant:
 
     def test_equality_residual_inside(self, eq_gue):
         for x in np.linspace(-1.5, 1.5, 5):
-            val = 2.0 * eq_gue._g0_interior(float(x)) - eq_gue.V.eval(float(x))
+            val = 2.0 * g0_interior(eq_gue, float(x)) - eq_gue.V.eval(float(x))
             assert abs(val - eq_gue.ell) < 1e-7
 
     def test_strict_inequality_outside(self, eq_gue):
@@ -188,16 +189,24 @@ class TestEdgeBeta:
 
 
 class TestRegularity:
+    @staticmethod
+    def margins(eq):
+        """min of h on the cut, then the largest 2g - V - ell at a peak right
+        and left of it (-inf on a side with none)."""
+        h_min = horner(eq._h, np.linspace(eq.b0, eq.a1, 200)).min()
+        xs, vals = _off_cut_peaks(eq)
+        return (h_min, vals[xs > eq.a1].max(initial=-np.inf),
+                vals[xs < eq.b0].max(initial=-np.inf))
+
     def test_gue_passes(self, eq_gue):
-        report = check_regular(eq_gue)
-        assert report.passed
-        assert report.h_min_inside > 0
-        assert report.worst_margin_right < 0
-        assert report.worst_margin_left < 0
+        h_min, right, left = self.margins(eq_gue)
+        assert h_min > 0 and max(right, left) < -_REGULAR_TOL
+        assert right < 0
+        assert left < 0
 
     def test_eynard_margin_scaling(self, eq_eynard):
-        report = check_regular(eq_eynard)
-        assert report.passed
+        h_min, right, left = self.margins(eq_eynard)
+        assert h_min > 0 and max(right, left) < -_REGULAR_TOL
         # the effective potential at the secondary well nearly touches zero:
         # margin = -E(eps), E positive and O(eps)
         E_02 = -(2.0 * eq_eynard.log_potential(3.0) - eq_eynard.V.eval(3.0) - eq_eynard.ell)

@@ -1,7 +1,11 @@
-"""Every name the package and its modules export through ``__all__`` resolves."""
+"""Every name the package and its modules export through ``__all__`` resolves,
+and has a use outside the tests."""
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +19,40 @@ MODULES = ["spectral_edge"] + [f"spectral_edge.{m.name}"
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# Where a use counts: the library itself, the scripts and the benchmark.
+USE_DIRS = ("src", "scripts", "perfbench")
+# Exported names whose only callers are tests, each with its reason.
+TEST_ONLY = {
+    "spectral_edge.transition.in_A_V": "the transition tests sweep the set A_V with it",
+    "spectral_edge.transition.switch_band": "the transition tests bound their tilt sweeps with it",
+}
+
+
+def _use_lines() -> list:
+    """Every line of the Python files in USE_DIRS, less each ``__all__`` list."""
+    lines = []
+    for d in USE_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            text = path.read_text().splitlines()
+            skip = set()
+            for node in ast.parse("\n".join(text)).body:
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                    skip.update(range(node.lineno - 1, node.end_lineno))
+            lines += [line for i, line in enumerate(text) if i not in skip]
+    return lines
+
+
+def test_every_export_is_used_outside_tests():
+    lines = _use_lines()
+    unused = []
+    for name in MODULES:
+        for export in getattr(importlib.import_module(name), "__all__", []):
+            word = re.compile(rf"\b{re.escape(export)}\b")
+            definition = re.compile(rf"^\s*(def|class)\s+{re.escape(export)}\b")
+            if not any(word.search(line) and not definition.match(line) for line in lines):
+                unused.append(f"{name}.{export}")
+    assert sorted(unused) == sorted(TEST_ONLY)

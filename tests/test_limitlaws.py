@@ -12,7 +12,6 @@ from spectral_edge.limitlaws import (
     AiryDiscretization,
     LimitLaw,
     c_alpha,
-    c_alpha_contour,
     f0,
     f1,
     mixture_weights,
@@ -20,6 +19,8 @@ from spectral_edge.limitlaws import (
 )
 from spectral_edge.specialfn import airy_ai_pair, gauss_legendre, normal_cdf
 from spectral_edge.transition import c_of_a, critical_a, maximizer_set
+
+from oracles import c_alpha_contour
 
 OMEGA = cmath.exp(2j * math.pi / 3.0)
 

@@ -12,14 +12,13 @@ from spectral_edge.limitlaws import LimitLaw, f0, predict_law
 from spectral_edge.potential import GUE, QUARTIC, eynard_potential
 from spectral_edge.transition import critical_a
 from conftest import dense_spiked_eigvalsh, edge_sample_400
+from oracles import dd_exp_log, log_density_rank1
 from spectral_edge.sampler import (
     EdgeSample,
     McmcConfig,
-    dd_exp_log,
     ks_distance,
     ks_two_sample,
     load_sample,
-    log_density_rank1,
     mcmc_sample,
     sample_gaussian_spiked,
     save_sample,

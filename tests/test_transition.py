@@ -304,10 +304,6 @@ class TestCriticalValue:
         assert a_c < half
         assert half - a_c > 0.05
 
-    def test_lower_bracket_guard(self, eq_gue):
-        with pytest.raises(ValueError):
-            critical_a(eq_gue, a_lo=1.5)
-
     @pytest.mark.parametrize("name", ["eynard(3,0.02)", "two-shelf", "eynard(3,0.0001)",
                                       "eynard(3,0.001)"])
     def test_matches_closed_form_route(self, name, eq_shelf):
@@ -332,8 +328,6 @@ class TestCriticalValue:
         # computed once per equilibrium: a second call scans nothing
         seen.clear()
         assert critical_a(eq) == a_c and seen == []
-        # an explicit lower bracket searches afresh and finds the same root
-        assert abs(critical_a(eq, a_lo=1e-3) - a_c) < 1e-12 and len(seen) > 0
 
 
 class TestMaximizers:
