@@ -5,8 +5,8 @@ Every run writes a manifest echoing the resolved configuration next to its
 outputs.  Exit codes: 0 success, 2 input error, 3 numeric failure.
 
 Each subcommand imports the modules it calls, so that a process loads only
-what its command runs: ``montecarlo --method mcmc`` loads no scipy, and no
-command loads ``scipy.optimize``.
+what its command runs: ``montecarlo`` loads no scipy, and no command loads
+``scipy.optimize``.
 """
 
 from __future__ import annotations

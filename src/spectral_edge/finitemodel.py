@@ -243,9 +243,9 @@ def gap_probability_raw(sk: SpikedKernel, intervals, factored: bool = True) -> f
     return float(np.linalg.det(ident - Mt))
 
 
-def gap_probability(sk: SpikedKernel, intervals, factored: bool = True) -> float:
+def gap_probability(sk: SpikedKernel, intervals) -> float:
     """Probability of no eigenvalue in a finite union of intervals."""
-    raw = gap_probability_raw(sk, intervals, factored)
+    raw = gap_probability_raw(sk, intervals)
     if raw < 0.0 or raw > 1.0:
         log.debug("gap probability %.6e clamped to [0, 1]", raw)
     return min(max(raw, 0.0), 1.0)

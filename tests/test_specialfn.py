@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import airy
@@ -16,7 +17,6 @@ from spectral_edge.specialfn import (
     legendre_reference,
     normal_cdf,
 )
-from spectral_edge import specialfn
 from spectral_edge.finitemodel import build_ortho
 from spectral_edge.potential import GUE
 
@@ -240,13 +240,13 @@ class TestLegendreReference:
 
     def test_one_build_per_size(self, monkeypatch):
         calls = []
-        real = specialfn.dsterf
+        real = scipy.linalg.lapack.dsterf
 
         def counting_dsterf(d, e):
             calls.append(d.size)
             return real(d, e)
 
-        monkeypatch.setattr(specialfn, "dsterf", counting_dsterf)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", counting_dsterf)
         legendre_reference.cache_clear()
         try:
             first = build_ortho(GUE, 16, 17)
