@@ -1,12 +1,16 @@
 """Command-line front end.
 
 Subcommands: equilibrium | critical | law | gap | montecarlo | compare.
-Every run writes a manifest echoing the resolved configuration next to its
-outputs.  Exit codes: 0 success, 2 input error, 3 numeric failure.
+Every output file is written here, through one CSV and one JSON writer,
+except ``samples.csv`` and its sidecar, which ``sampler.save_sample`` writes
+so that ``load_sample`` reads back what it wrote.  Every run writes a manifest
+echoing the resolved configuration next to its outputs.  Exit codes:
+0 success, 2 input error, 3 numeric failure.
 
 Each subcommand imports the modules it calls, so that a process loads only
-what its command runs: ``montecarlo`` loads no scipy, and no command loads
-``scipy.optimize``.
+what its command runs: ``montecarlo`` loads no scipy for a builtin potential
+(an ``eynard(...)`` spec loads ``scipy.integrate`` to place its companion
+root), and no command loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -25,22 +29,35 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
+_CSV_POINTS = 400       # rows of density.csv and comparison.csv
+_CSV_SPAN = 6.0         # comparison.csv tabulates x in [e, e + _CSV_SPAN]
+
 
 class InputError(Exception):
     pass
 
 
-def _out_dir(args) -> Path:
+def _write_csv(path: Path, header: list, rows) -> None:
+    """A header row, then one row per entry of rows, every value at full precision."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+
+
+def _write_manifest(args) -> Path:
+    """Create the output directory, write the manifest of the resolved
+    configuration into it, and return it."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "manifest.json",
+                {k: v for k, v in vars(args).items() if k != "func" and v is not None})
     return out
-
-
-def _write_manifest(out: Path, command: str, args) -> None:
-    resolved = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    resolved["command"] = command
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(resolved, fh, indent=2, default=str)
 
 
 def _potential(args):
@@ -81,12 +98,13 @@ def cmd_equilibrium(args) -> int:
     from . import equilibrium as eqmod
 
     V = _potential(args)
-    out = _out_dir(args)
     eq = _solve(V)
-    _write_manifest(out, "equilibrium", args)
-    eqmod.json_dump(eq, out / "equilibrium.json")
-    eqmod.density_csv(eq, out / "density.csv")
-    print(json.dumps(eqmod.to_json(eq), indent=2))
+    report = eqmod.to_json(eq)
+    out = _write_manifest(args)
+    _write_json(out / "equilibrium.json", report)
+    xs = np.linspace(eq.b0, eq.a1, _CSV_POINTS)
+    _write_csv(out / "density.csv", ["x", "psi"], zip(xs, eqmod.density_psi(eq, xs)))
+    print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
@@ -107,7 +125,6 @@ def cmd_critical(args) -> int:
     if args.a_max is not None and args.a_max <= 0:
         raise InputError(f"critical: a-max = {args.a_max} must be positive")
     V = _potential(args)
-    out = _out_dir(args)
     eq = _solve(V)
     a_c = _numeric_stage("critical: a_c search", transition.critical_a, eq)
     half = 0.5 * eq.V.eval(eq.a1, 1)
@@ -120,11 +137,15 @@ def cmd_critical(args) -> int:
         "a_c_below_half_Vprime_e": not transition.convex_type(eq, a_c),
         "secondary": secondary,
     }
-    _write_manifest(out, "critical", args)
-    with open(out / "critical.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+    out = _write_manifest(args)
+    _write_json(out / "critical.json", report)
     a_vals = [a for a in (args.a,) if a is not None] or [0.6 * a_c, a_c, min(2.0 * a_c, 1.5 * half)]
-    transition.comparison_csv(eq, a_vals, out / "comparison.csv")
+    xs = np.linspace(eq.a1, eq.a1 + _CSV_SPAN, _CSV_POINTS)
+    header, cols = ["x"], [xs]
+    for a in a_vals:
+        header += [f"G(a={a:g})", f"H(a={a:g})"]
+        cols += [transition.G_fn(eq, a, xs), transition.H_fn(eq, a, xs)]
+    _write_csv(out / "comparison.csv", header, zip(*cols))
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
@@ -140,34 +161,24 @@ def cmd_law(args) -> int:
     # under --a-critical the spike is derived from a_c, so only n and j are inputs
     _spike(args, 0.0 if args.a_critical else args.a)
     V = _potential(args)
-    out = _out_dir(args)
     eq = _solve(V)
     a_c = None
     if args.a_critical:
-        a_c = transition.critical_a(eq)
+        a_c = _numeric_stage("law: a_c search", transition.critical_a, eq)
         alpha = args.alpha or 0.0
         a = a_c + eq.beta * alpha / args.n ** (1.0 / 3.0)
     else:
         a = args.a
-    law = limitlaws.predict_law(eq, a, args.n, args.j, a_c=a_c)
-    _write_manifest(out, "law", args)
-    with open(out / "law.json", "w") as fh:
-        json.dump(law.to_json(), fh, indent=2)
+    law = _numeric_stage("law: law prediction", limitlaws.predict_law, eq, a, args.n, args.j, a_c)
+    out = _write_manifest(args)
+    _write_json(out / "law.json", law.to_json())
     if law.kind == "Mixture":
         lam = law.components[0][1].center + ts / (
             law.components[0][1].scale_const * args.n ** law.components[0][1].scale_exponent)
         cdf = law.cdf_lambda(lam, args.n)
-        cols = ["lambda", "cdf"]
-        rows = zip(lam, cdf)
+        _write_csv(out / "law.csv", ["lambda", "cdf"], zip(lam, cdf))
     else:
-        cdf = law.cdf_standard(ts)
-        cols = ["T", "cdf"]
-        rows = zip(ts, cdf)
-    with open(out / "law.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for t, v in rows:
-            writer.writerow([f"{t:.17g}", f"{v:.17g}"])
+        _write_csv(out / "law.csv", ["T", "cdf"], zip(ts, law.cdf_standard(ts)))
     print(json.dumps(law.to_json(), indent=2))
     return EXIT_OK
 
@@ -180,7 +191,6 @@ def cmd_gap(args) -> int:
         raise InputError(f"gap: n = {args.n} exceeds the determinant cap n <= {finitemodel.MAX_N}")
     ts = _t_grid(args)
     V = _potential(args)
-    out = _out_dir(args)
     eq = _solve(V)
     ortho = finitemodel.build_ortho(V, args.n, args.n - args.j + 2, a_hint=a)
     sk = finitemodel.build_spiked(ortho, a, args.j)
@@ -191,16 +201,11 @@ def cmd_gap(args) -> int:
     if clamped:
         print(f"gap: {clamped} of {raw.size} determinants outside [0, 1] clamped "
               f"(raw range [{raw.min():.6g}, {raw.max():.6g}])", file=sys.stderr)
-    _write_manifest(out, "gap", args)
-    with open(out / "gap.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "threshold", "gap_probability"])
-        for t, thr, p in rows:
-            writer.writerow([f"{t:.17g}", f"{thr:.17g}", f"{p:.17g}"])
-    with open(out / "gap.json", "w") as fh:
-        json.dump({"n": args.n, "j": args.j, "a": a, "clamped": clamped,
-                   "raw_range": [float(raw.min()), float(raw.max())],
-                   "rows": [list(r) for r in rows]}, fh, indent=2)
+    out = _write_manifest(args)
+    _write_csv(out / "gap.csv", ["T", "threshold", "gap_probability"], rows)
+    _write_json(out / "gap.json", {"n": args.n, "j": args.j, "a": a, "clamped": clamped,
+                                   "raw_range": [float(raw.min()), float(raw.max())],
+                                   "rows": [list(r) for r in rows]})
     print(f"wrote {len(rows)} gap values to {out / 'gap.csv'}")
     return EXIT_OK
 
@@ -228,7 +233,6 @@ def cmd_montecarlo(args) -> int:
         raise InputError(f"montecarlo: seed = {args.seed} must lie in [0, 2**128 - {chains}]: "
                          f"chain k < {chains} draws from the Philox key seed + k")
     V = _potential(args)
-    out = _out_dir(args)
     if direct:
         if V.label != "gue":
             raise InputError("direct sampling is only available for the gue potential")
@@ -244,7 +248,7 @@ def cmd_montecarlo(args) -> int:
         sample = sampler.EdgeSample(lam, n=args.n, a=a, j=1,
                                     potential_label=V.label or "custom",
                                     seed=args.seed, method="mcmc", acceptance=acc)
-    _write_manifest(out, "montecarlo", args)
+    out = _write_manifest(args)
     sampler.save_sample(sample, out / "samples.csv")
     print(f"wrote {sample.lambda_max.size} samples to {out / 'samples.csv'}")
     return EXIT_OK
@@ -253,9 +257,12 @@ def cmd_montecarlo(args) -> int:
 def cmd_compare(args) -> int:
     from . import limitlaws, sampler
 
-    with open(Path(args.law_dir) / "law.json") as fh:
-        law_json = json.load(fh)
-    law = limitlaws.LimitLaw.from_json(law_json)
+    law_path = Path(args.law_dir) / "law.json"
+    with open(law_path) as fh:
+        try:
+            law = limitlaws.LimitLaw.from_json(json.load(fh))
+        except ValueError as exc:
+            raise InputError(f"compare: {law_path}: {exc}") from exc
     report = {}
     if args.mc_dir:
         path = Path(args.mc_dir) / "samples.csv"
@@ -281,10 +288,8 @@ def cmd_compare(args) -> int:
         worst = float(np.max(np.abs(p - ref)))
         report["max_gap_law_gap"] = worst
         report["gap_pass"] = bool(worst < args.gap_tol)
-    out = _out_dir(args)
-    _write_manifest(out, "compare", args)
-    with open(out / "compare.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+    out = _write_manifest(args)
+    _write_json(out / "compare.json", report)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 

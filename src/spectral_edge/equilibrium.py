@@ -11,8 +11,6 @@ potential is not regular.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +34,6 @@ _ENDPOINT_TOL = 1e-13
 _GRID_POINTS = 2001
 _LOG_BLOCK = 256        # rows of the log|x - s| matrix held at once (~1 MB)
 _REGULAR_TOL = 1e-11    # |2g - V - ell| counted as zero; eynard(3,0) reads -8.3e-14
-_CSV_POINTS = 400       # rows of density.csv
 
 
 class NotOneCutError(RuntimeError):
@@ -294,18 +291,3 @@ def to_json(eq: EquilibriumData) -> dict:
         "h_coeffs": [float(c) for c in eq.h_coeffs],
         "potential": eq.V.to_json(),
     }
-
-
-def density_csv(eq: EquilibriumData, path) -> None:
-    xs = np.linspace(eq.b0, eq.a1, _CSV_POINTS)
-    ys = density_psi(eq, xs)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "psi"])
-        for x, y in zip(xs, ys):
-            writer.writerow([f"{x:.17g}", f"{y:.17g}"])
-
-
-def json_dump(eq: EquilibriumData, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_json(eq), fh, indent=2)

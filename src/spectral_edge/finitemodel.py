@@ -10,7 +10,6 @@ handled by factoring out the maximal exponent once per spike.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -25,10 +24,8 @@ __all__ = [
     "SpikedKernel",
     "build_ortho",
     "choose_halfwidth",
-    "gap_probability",
+    "gap_probability_raw",
 ]
-
-log = logging.getLogger(__name__)
 
 MAX_N = 128
 _UNDERFLOW_LOG = 330.0 * math.log(10.0)
@@ -147,7 +144,6 @@ class SpikedKernel:
     j: int
     log_shift: float = 0.0                       # max over the grid of n(a x - V/2)
     gamma_scaled: np.ndarray = field(default=None, repr=False)  # Gamma_i e^{-shift}
-    tilde_psi_values: np.ndarray = field(default=None, repr=False)
 
     def tilt_scaled(self, x: np.ndarray) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
@@ -161,14 +157,10 @@ class SpikedKernel:
             return px[nj]
         return (self.tilt_scaled(x) - self.gamma_scaled[:nj] @ px[:nj]) / self.gamma_scaled[nj]
 
-    def kernel_matrix(self, x: np.ndarray) -> np.ndarray:
-        nj = self.ortho.n - self.j
-        px = self.ortho.psi_at(x)
-        return px[:nj].T @ px[:nj] + np.outer(self.tilde_psi_at(x, px), px[nj])
-
 
 def build_spiked(ortho: OrthoSystem, a: float, j: int = 1) -> SpikedKernel:
-    """Assemble the spike data: tilt projections and the corrected function.
+    """Assemble the spike data: the tilt's projections on the orthonormal
+    functions, from which ``tilde_psi_at`` evaluates the corrected function.
 
     The zero-spike limit degenerates to the unspiked size-(n-j+1) ensemble,
     where the corrected function is the next orthonormal function itself.
@@ -183,10 +175,8 @@ def build_spiked(ortho: OrthoSystem, a: float, j: int = 1) -> SpikedKernel:
         raise ValueError("orthonormal system too short for this offset")
     x, w = ortho.grid.nodes, ortho.grid.weights
     if a == 0.0:
-        sk = SpikedKernel(ortho=ortho, a=a, j=j, log_shift=0.0,
-                          gamma_scaled=np.zeros(nj + 1))
-        sk.tilde_psi_values = ortho.psi_values[nj].copy()
-        return sk
+        return SpikedKernel(ortho=ortho, a=a, j=j, log_shift=0.0,
+                            gamma_scaled=np.zeros(nj + 1))
     half_vp = 0.5 * ortho.V.eval(ortho.grid.interval[1], 1)
     if a >= half_vp:
         raise GridError("spike tilt too strong for the grid half-width")
@@ -200,9 +190,7 @@ def build_spiked(ortho: OrthoSystem, a: float, j: int = 1) -> SpikedKernel:
     gamma_scaled = (ortho.psi_values[:nj + 1] * (w * tilt)) @ np.ones_like(w)
     if gamma_scaled[nj] == 0.0:
         raise GridError("degenerate projection of the tilt on the top function")
-    sk = SpikedKernel(ortho=ortho, a=a, j=j, log_shift=shift, gamma_scaled=gamma_scaled)
-    sk.tilde_psi_values = (tilt - gamma_scaled[:nj] @ ortho.psi_values[:nj]) / gamma_scaled[nj]
-    return sk
+    return SpikedKernel(ortho=ortho, a=a, j=j, log_shift=shift, gamma_scaled=gamma_scaled)
 
 
 def gap_probability_raw(sk: SpikedKernel, intervals, factored: bool = True) -> float:
@@ -241,11 +229,3 @@ def gap_probability_raw(sk: SpikedKernel, intervals, factored: bool = True) -> f
         return float(np.linalg.det(bordered))
     Mt = sw[:, None] * (K + np.outer(tpsi, px[nj])) * sw[None, :]
     return float(np.linalg.det(ident - Mt))
-
-
-def gap_probability(sk: SpikedKernel, intervals) -> float:
-    """Probability of no eigenvalue in a finite union of intervals."""
-    raw = gap_probability_raw(sk, intervals)
-    if raw < 0.0 or raw > 1.0:
-        log.debug("gap probability %.6e clamped to [0, 1]", raw)
-    return min(max(raw, 0.0), 1.0)

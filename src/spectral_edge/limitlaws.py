@@ -380,12 +380,19 @@ class LimitLaw:
 
     @classmethod
     def from_json(cls, obj: dict) -> LimitLaw:
-        """The law that ``to_json`` wrote."""
-        if obj["kind"] == "Mixture":
+        """The law that ``to_json`` wrote; a kind, or an F1 alpha, that the
+        CDFs cannot evaluate is a ValueError."""
+        kind = obj["kind"]
+        if kind not in ("F0", "F1", "Gauss", "GenGauss", "Mixture"):
+            raise ValueError(f"unknown law kind {kind!r}")
+        if kind == "Mixture":
             return cls("Mixture", components=tuple((w, cls.from_json(sub))
                                                    for w, sub in obj["components"]))
-        return cls(obj["kind"], center=obj["center"], scale_const=obj["scale_const"],
-                   scale_exponent=obj["scale_exponent"], alpha=obj.get("alpha", 0.0),
+        alpha = obj.get("alpha", 0.0)
+        if kind == "F1":
+            _check_alpha(alpha)
+        return cls(kind, center=obj["center"], scale_const=obj["scale_const"],
+                   scale_exponent=obj["scale_exponent"], alpha=alpha,
                    order=obj.get("order", 1))
 
 

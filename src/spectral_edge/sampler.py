@@ -52,6 +52,9 @@ PAIR_PASSES = 4
 # Eigenvalues closer than this are a zero of the density: such a proposal
 # is rejected.
 TIE_GAP = 1e-12
+# ks_distance evaluates the law on this many points and interpolates once a
+# sample has more than twice as many draws.
+_KS_GRID = 200
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -269,7 +272,7 @@ def mcmc_sample(V: Potential, n: int, a: float, cfg: McmcConfig) -> EdgeSample:
                       seed=cfg.seed, method="mcmc", acceptance=rate)
 
 
-def ks_distance(sample: EdgeSample, law, cdf_grid: int = 200) -> float:
+def ks_distance(sample: EdgeSample, law) -> float:
     """Sup distance between the empirical CDF of the draws and the law's CDF.
 
     For large samples the law CDF is evaluated on a dense grid spanning the
@@ -278,10 +281,10 @@ def ks_distance(sample: EdgeSample, law, cdf_grid: int = 200) -> float:
     """
     lam = np.sort(sample.lambda_max)
     k = lam.size
-    if k > 2 * cdf_grid:
+    if k > 2 * _KS_GRID:
         lo, hi = lam[0], lam[-1]
         pad = 1e-9 * max(1.0, abs(hi - lo))
-        grid = np.linspace(lo - pad, hi + pad, cdf_grid)
+        grid = np.linspace(lo - pad, hi + pad, _KS_GRID)
         cdf_on_grid = law.cdf_lambda(grid, sample.n)
         cdf = np.interp(lam, grid, cdf_on_grid)
     else:

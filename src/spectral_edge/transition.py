@@ -37,7 +37,6 @@ most commands.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -72,8 +71,6 @@ _FLAT_TOL = 1e-6
 _DETACH_TOL = 1e-12     # phi must beat this for detachment to count
 _ROOT_TOL = 1e-15       # brentq xtol for every root
 _A_LO = 1e-4            # lower bracket of the a_c search
-_CSV_SPAN = 6.0         # comparison.csv tabulates x in [e, e + _CSV_SPAN]
-_CSV_POINTS = 400
 
 
 def _brentq(f, a: float, b: float, xtol: float = 2e-12,
@@ -410,23 +407,3 @@ def fluct_scale(eq: EquilibriumData, a: float, x_star: float, k: int = 1) -> flo
     if d <= 0:
         raise ValueError("non-positive flat-order derivative at the maximizer")
     return (d / math.factorial(2 * k)) ** (1.0 / (2 * k))
-
-
-def comparison_csv(eq: EquilibriumData, a_values, path) -> None:
-    """Table of (x, G(x;a), H(x;a)) columns for each requested tilt."""
-    xs = np.linspace(eq.a1, eq.a1 + _CSV_SPAN, _CSV_POINTS)
-    cols = {}
-    for a in a_values:
-        cols[a] = (G_fn(eq, a, xs), H_fn(eq, a, xs))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["x"]
-        for a in a_values:
-            header += [f"G(a={a:g})", f"H(a={a:g})"]
-        writer.writerow(header)
-        for i, x in enumerate(xs):
-            row = [f"{x:.17g}"]
-            for a in a_values:
-                row += [f"{cols[a][0][i]:.17g}", f"{cols[a][1][i]:.17g}"]
-            writer.writerow(row)
-

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -11,7 +12,10 @@ import pytest
 
 from spectral_edge import finitemodel, limitlaws, transition
 from spectral_edge.cli import main
+from spectral_edge.equilibrium import density_psi, solve_support
 from spectral_edge.limitlaws import f0
+from spectral_edge.potential import load_potential
+from conftest import two_shelf_potential
 
 
 def run(args):
@@ -26,6 +30,15 @@ class TestEquilibriumCommand:
         assert abs(data["a1"] - 2.0) < 1e-9
         assert (out / "density.csv").exists()
         assert (out / "manifest.json").exists()
+
+    def test_density_table(self, tmp_path):
+        out = tmp_path / "eq"
+        assert run(["equilibrium", "--potential", "quartic", "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "density.csv").open()))
+        assert rows[0] == ["x", "psi"] and len(rows) == 401
+        eq = solve_support(load_potential("quartic"))
+        for x_str, psi_str in rows[1:]:
+            assert float(psi_str) == density_psi(eq, float(x_str))
 
     def test_quartic_symmetric_endpoints(self, tmp_path):
         out = tmp_path / "eq"
@@ -49,6 +62,7 @@ class TestEquilibriumCommand:
         pot.write_text(json.dumps({"label": "dw", "coefficients": [0, 0, -2.0, 0, 0.25]}))
         code = run(["equilibrium", "--potential", str(pot), "--out", str(tmp_path / "x")])
         assert code == 3
+        assert not (tmp_path / "x").exists()
 
 
 class TestCriticalCommand:
@@ -59,7 +73,11 @@ class TestCriticalCommand:
         assert abs(data["a_c"] - 1.0) < 1e-5
         assert data["secondary"] == []
         assert not data["a_c_below_half_Vprime_e"]
-        assert (out / "comparison.csv").exists()
+        # the default tilts: below, at and above a_c
+        tilts = [0.6 * data["a_c"], data["a_c"], min(2.0 * data["a_c"], 1.5 * data["half_Vprime_e"])]
+        rows = list(csv.reader((out / "comparison.csv").open()))
+        assert rows[0] == ["x"] + [f"{f}(a={a:g})" for a in tilts for f in "GH"]
+        assert len(rows) == 401 and float(rows[1][0]) == 2.0
 
     def test_eynard_flag(self, tmp_path):
         out = tmp_path / "crit"
@@ -150,6 +168,20 @@ class TestLawCommand:
         assert run(["law", "--potential", "eynard(3,0.02)", "--a-critical", "--alpha", "2",
                     "--n", "100", "--T-steps", "3", "--out", str(tmp_path / "law")]) == 0
         assert len(calls) == 1
+
+    def test_flat_maximizer_is_numeric_failure(self, tmp_path):
+        # one float below the top of the second rising run of W, G has a
+        # maximizer where W' vanishes but W'' does not
+        V = two_shelf_potential(d2=0.7104335)
+        pot = tmp_path / "cusp.json"
+        pot.write_text(json.dumps(V.to_json()))
+        a = math.nextafter(transition._rising_runs(solve_support(V))[1][3], 0.0)
+        proc = _cli_process(tmp_path, "law", "--potential", str(pot), "--a", repr(a),
+                            "--n", "128", "--out", "law")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numeric failure: law:")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "law").exists()
 
     def test_law_requires_spike(self, tmp_path):
         assert run(["law", "--potential", "gue", "--out", str(tmp_path / "x")]) == 2
@@ -256,6 +288,22 @@ class TestMonteCarloAndCompare:
         code = run(["compare", "--law-dir", str(law), "--mc-dir", str(mc),
                     "--out", str(tmp_path / "cmp")])
         assert code == 2
+
+    @pytest.mark.parametrize("law, named", [
+        ({"kind": "Bogus"}, "unknown law kind 'Bogus'"),
+        ({"kind": "F1", "alpha": 7}, "|alpha| <= 4"),
+    ], ids=["unknown-kind", "f1-alpha-out-of-range"])
+    def test_unusable_law_is_input_error(self, tmp_path, law, named):
+        law_dir = tmp_path / "law"
+        law_dir.mkdir()
+        (law_dir / "law.json").write_text(json.dumps(
+            {"center": 2.0, "scale_const": 1.0, "scale_exponent": 0.0, **law}))
+        proc = _cli_process(tmp_path, "compare", "--law-dir", "law", "--out", "cmp")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error: compare:")
+        assert "law.json" in proc.stderr and named in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "cmp").exists()
 
     def test_mcmc_method(self, tmp_path):
         mc = tmp_path / "mcmc"
@@ -434,12 +482,22 @@ class TestReadmeCliBlock:
             assert run(argv) == 0, argv
 
 
-def _fresh_process(code: str, *args, cwd) -> list:
+def _python(args: list, cwd) -> subprocess.CompletedProcess:
+    """A fresh Python process on this checkout's sources."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def _cli_process(cwd, *argv) -> subprocess.CompletedProcess:
+    """The CLI run as ``python -m spectral_edge.cli`` in a fresh process."""
+    return _python(["-m", "spectral_edge.cli", *argv], cwd)
+
+
+def _fresh_process(code: str, *args, cwd) -> list:
+    proc = _python(["-c", code, *args], cwd)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 

@@ -56,3 +56,20 @@ def test_every_export_is_used_outside_tests():
             if not any(word.search(line) and not definition.match(line) for line in lines):
                 unused.append(f"{name}.{export}")
     assert sorted(unused) == sorted(TEST_ONLY)
+
+
+def test_only_the_cli_and_sampler_import_csv():
+    # the CLI writes every output file but samples.csv, which sampler writes
+    # and reads back
+    importers = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "csv" in names:
+                importers.add(path.name)
+    assert sorted(importers) == ["cli.py", "sampler.py"]

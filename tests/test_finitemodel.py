@@ -8,7 +8,6 @@ from spectral_edge.finitemodel import (
     build_ortho,
     build_spiked,
     choose_halfwidth,
-    gap_probability,
     gap_probability_raw,
 )
 from spectral_edge.limitlaws import f0
@@ -132,27 +131,31 @@ class TestSpikedKernel:
     def test_characterizing_inner_products(self, ortho16):
         sk = build_spiked(ortho16, 0.5, 1)
         w = ortho16.grid.weights
+        tpsi = sk.tilde_psi_at(ortho16.grid.nodes, ortho16.psi_values)
         nj = 15
         for k in range(nj - 3, nj):
-            val = np.dot(w, sk.tilde_psi_values * ortho16.psi_values[k])
+            val = np.dot(w, tpsi * ortho16.psi_values[k])
             assert abs(val) < 1e-7
-        assert abs(np.dot(w, sk.tilde_psi_values * ortho16.psi_values[nj]) - 1.0) < 1e-7
+        assert abs(np.dot(w, tpsi * ortho16.psi_values[nj]) - 1.0) < 1e-7
         for k in (0, 5, 9):
-            assert abs(np.dot(w, sk.tilde_psi_values * ortho16.psi_values[k])) < 1e-7
+            assert abs(np.dot(w, tpsi * ortho16.psi_values[k])) < 1e-7
 
     @pytest.mark.parametrize("j", [1, 2])
     def test_projection_algebra(self, ortho16, j):
         sk = build_spiked(ortho16, 0.5, j)
         x = ortho16.grid.nodes
         w = ortho16.grid.weights
-        Kt = sk.kernel_matrix(x)
+        nj = 16 - j
+        px = ortho16.psi_at(x)
+        Kt = px[:nj].T @ px[:nj] + np.outer(sk.tilde_psi_at(x, px), px[nj])
         Kt2 = (Kt * w) @ Kt
         assert np.max(np.abs(Kt2 - Kt)) < 1e-6
         assert abs(np.dot(w, np.diag(Kt)) - (16 - j + 1)) < 1e-6
 
     def test_zero_spike_degenerates_to_unspiked(self, ortho16):
         sk = build_spiked(ortho16, 0.0, 1)
-        assert np.max(np.abs(sk.tilde_psi_values - ortho16.psi_values[15])) == 0.0
+        tpsi = sk.tilde_psi_at(ortho16.grid.nodes, ortho16.psi_values)
+        assert np.max(np.abs(tpsi - ortho16.psi_values[15])) == 0.0
 
     def test_tilt_too_strong_rejected(self, ortho16):
         with pytest.raises(GridError):
@@ -162,12 +165,12 @@ class TestSpikedKernel:
 class TestGapProbability:
     def test_empty_set(self, ortho20):
         sk = build_spiked(ortho20, 0.5, 1)
-        assert gap_probability(sk, []) == 1.0
+        assert gap_probability_raw(sk, []) == 1.0
 
     def test_full_line_has_no_gap(self, ortho20):
         sk = build_spiked(ortho20, 0.5, 1)
         L = ortho20.grid.interval[1]
-        assert gap_probability(sk, [(-L, np.inf)]) < 1e-8
+        assert gap_probability_raw(sk, [(-L, np.inf)]) < 1e-8
 
     def test_factored_vs_direct(self, ortho16):
         rng = np.random.default_rng(5)
@@ -211,19 +214,19 @@ class TestGapProbability:
 
     def test_union_of_intervals(self, ortho16):
         sk = build_spiked(ortho16, 0.5, 1)
-        both = gap_probability(sk, [(1.8, 2.2), (2.4, np.inf)])
-        single = gap_probability(sk, [(1.8, np.inf)])
+        both = gap_probability_raw(sk, [(1.8, 2.2), (2.4, np.inf)])
+        single = gap_probability_raw(sk, [(1.8, np.inf)])
         assert 0.0 < single < both < 1.0
 
     def test_monotone_in_nested_tails(self, ortho20):
         sk = build_spiked(ortho20, 0.5, 1)
-        probs = [gap_probability(sk, [(t, np.inf)]) for t in (1.6, 1.9, 2.2, 2.5)]
+        probs = [gap_probability_raw(sk, [(t, np.inf)]) for t in (1.6, 1.9, 2.2, 2.5)]
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
     def test_spike_continuity(self, ortho16):
         a = 0.5
-        g1 = gap_probability(build_spiked(ortho16, a, 1), [(2.2, np.inf)])
-        g2 = gap_probability(build_spiked(ortho16, a + 1e-6, 1), [(2.2, np.inf)])
+        g1 = gap_probability_raw(build_spiked(ortho16, a, 1), [(2.2, np.inf)])
+        g2 = gap_probability_raw(build_spiked(ortho16, a + 1e-6, 1), [(2.2, np.inf)])
         assert abs(g1 - g2) < 1e-4
 
     def test_approaches_soft_edge_law(self, eq_gue):
@@ -235,7 +238,7 @@ class TestGapProbability:
             ortho = build_ortho(GUE, n, n + 1, a_hint=0.5)
             sk = build_spiked(ortho, 0.5, 1)
             thr = 2.0  # e + 0 / (beta n^{2/3})
-            errs.append(abs(gap_probability(sk, [(thr, np.inf)]) - target))
+            errs.append(abs(gap_probability_raw(sk, [(thr, np.inf)]) - target))
         # centering at the leading-order edge leaves an O(n^{-1/3}) shift,
         # so the error contracts by about 2^{1/3} = 1.26 per doubling
         assert errs[0] > 1.15 * errs[1] > 1.15 * 1.15 * errs[2]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import kolmogi, ndtri
 
 from spectral_edge.equilibrium import solve_support
-from spectral_edge.finitemodel import build_ortho, build_spiked, gap_probability
+from spectral_edge.finitemodel import build_ortho, build_spiked, gap_probability_raw
 from spectral_edge.limitlaws import LimitLaw, f0, predict_law
 from spectral_edge.potential import GUE, QUARTIC, eynard_potential
 from spectral_edge.transition import critical_a
@@ -227,14 +227,16 @@ class TestKsDistance:
         law = LimitLaw("Gauss", center=0.0, scale_const=1.0, scale_exponent=0.0)
         assert ks_distance(sample, law) < 0.04
 
-    def test_grid_interpolation_agrees_with_direct(self):
+    def test_grid_interpolation_agrees_with_direct(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(key=4))
         draws = ndtri(rng.uniform(size=900))
         sample = EdgeSample(draws, n=1, a=0.0, j=1, potential_label="gue",
                             seed=4, method="direct-gaussian")
         law = LimitLaw("Gauss", center=0.0, scale_const=1.0, scale_exponent=0.0)
-        direct = ks_distance(sample, law, cdf_grid=10 ** 6)
-        gridded = ks_distance(sample, law, cdf_grid=200)
+        gridded = ks_distance(sample, law)
+        # a grid of 10**6 points exceeds the sample, so the law is evaluated at every draw
+        monkeypatch.setattr("spectral_edge.sampler._KS_GRID", 10 ** 6)
+        direct = ks_distance(sample, law)
         assert abs(direct - gridded) < 2e-3
 
 
@@ -348,7 +350,7 @@ class TestMcmcAgainstExactLaw:
         assert tau <= TAU_MAX
         sk = build_spiked(build_ortho(V, n, n + 1, a_hint=a), a, 1)
         grid = np.linspace(draws[0], draws[-1], 160)
-        exact = np.array([gap_probability(sk, [(t, np.inf)]) for t in grid])
+        exact = np.array([gap_probability_raw(sk, [(t, np.inf)]) for t in grid])
         cdf = np.interp(draws, grid, exact)
         k = draws.size
         ks = max(np.max(np.arange(1, k + 1) / k - cdf), np.max(cdf - np.arange(k) / k))
@@ -362,7 +364,7 @@ class TestConventionPinning:
         n, a, thr = 2, 0.5, 1.8
         ortho = build_ortho(GUE, n, n + 1, a_hint=a)
         sk = build_spiked(ortho, a, 1)
-        exact = gap_probability(sk, [(thr, np.inf)])
+        exact = gap_probability_raw(sk, [(thr, np.inf)])
         reps = 400000
         s = sample_gaussian_spiked(n, a, reps, seed=40)
         emp = float(np.mean(s.lambda_max < thr))
@@ -392,7 +394,7 @@ class TestConventionPinning:
         oracle = block(-L, thr) / block(-L, L)
         ortho = build_ortho(GUE, 2, 3, a_hint=a)
         sk = build_spiked(ortho, a, 1)
-        assert abs(gap_probability(sk, [(thr, np.inf)]) - oracle) < 1e-10
+        assert abs(gap_probability_raw(sk, [(thr, np.inf)]) - oracle) < 1e-10
 
 
 class TestPersistence:
