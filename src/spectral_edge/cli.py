@@ -4,8 +4,10 @@ Subcommands: equilibrium | critical | law | gap | montecarlo | compare.
 Every output file is written here, through one CSV and one JSON writer,
 except ``samples.csv`` and its sidecar, which ``sampler.save_sample`` writes
 so that ``load_sample`` reads back what it wrote.  Every run writes a manifest
-echoing the resolved configuration next to its outputs.  Exit codes:
-0 success, 2 input error, 3 numeric failure.
+echoing the resolved configuration next to its outputs.  Every file
+``compare`` reads goes through ``_read_input``, which turns a missing or
+malformed file into an input error naming it.  Exit codes: 0 success,
+2 input error, 3 numeric failure.
 
 Each subcommand imports the modules it calls, so that a process loads only
 what its command runs: ``montecarlo`` loads no scipy for a builtin potential
@@ -18,12 +20,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .potential import SpikeConfig, load_potential
+from .potential import load_potential
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -60,10 +63,22 @@ def _write_manifest(args) -> Path:
     return out
 
 
+def _finite(text: str) -> float:
+    """The argparse type of every real-valued flag: a finite float.  Anything
+    else exits 2, as an unknown flag does."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _potential(args):
     try:
         return load_potential(args.potential)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"potential: {exc}") from exc
 
 
@@ -79,12 +94,20 @@ def _solve(V):
         raise InputError(str(exc)) from exc
 
 
-def _spike(args, a: float) -> SpikeConfig:
-    """Validate the spike inputs of a command once, before any work."""
-    try:
-        return SpikeConfig(a=a, n=args.n, j=getattr(args, "j", 1))
-    except ValueError as exc:
-        raise InputError(f"{args.command}: {exc}") from exc
+def _spike(args, a: float) -> float:
+    """Validate the spike inputs of a command once, before any work, and
+    return the spike a."""
+    j = getattr(args, "j", 1)
+    if args.n < 4:
+        problem = f"n = {args.n} must be at least 4"
+    elif not 1 <= j <= 4:
+        problem = f"j = {j} must lie in 1..4"
+    elif a < 0:
+        problem = (f"a = {a:g} is negative; negative spike strength is out of scope, "
+                   "mirror the potential instead")
+    else:
+        return a
+    raise InputError(f"{args.command}: {problem}")
 
 
 def _t_grid(args) -> np.ndarray:
@@ -186,7 +209,7 @@ def cmd_law(args) -> int:
 def cmd_gap(args) -> int:
     from . import finitemodel
 
-    a = _spike(args, args.a if args.a is not None else 0.0).a
+    a = _spike(args, args.a if args.a is not None else 0.0)
     if args.n > finitemodel.MAX_N:
         raise InputError(f"gap: n = {args.n} exceeds the determinant cap n <= {finitemodel.MAX_N}")
     ts = _t_grid(args)
@@ -213,7 +236,7 @@ def cmd_gap(args) -> int:
 def cmd_montecarlo(args) -> int:
     from . import sampler
 
-    a = _spike(args, args.a if args.a is not None else 0.0).a
+    a = _spike(args, args.a if args.a is not None else 0.0)
     if args.reps < 1:
         raise InputError(f"montecarlo: reps = {args.reps} must be at least 1")
     direct = args.method == "direct-gaussian"
@@ -254,56 +277,70 @@ def cmd_montecarlo(args) -> int:
     return EXIT_OK
 
 
+def _load_json(path: Path) -> dict:
+    """The JSON object in a file; any other JSON value is a ValueError."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    return obj
+
+
+def _read_input(path: Path, parse):
+    """parse(path), with a file that is missing, unreadable or malformed
+    turned into an input error that names it."""
+    try:
+        return parse(path)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise InputError(f"compare: {path}: {exc}") from exc
+
+
+def _gap_table(path: Path):
+    """(n, thresholds, p) of a gap.json; an empty or non-finite table is a ValueError."""
+    table = _load_json(path)
+    n, rows = table["n"], np.array(table["rows"], dtype=float)
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n = {n!r} must be a positive integer")
+    if rows.size == 0:
+        raise ValueError("a gap table needs at least one row")
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError("each row must hold T, threshold and gap probability")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("a gap table must be finite")
+    return n, rows[:, 1], rows[:, 2]
+
+
 def cmd_compare(args) -> int:
     from . import limitlaws, sampler
 
-    law_path = Path(args.law_dir) / "law.json"
-    with open(law_path) as fh:
-        try:
-            law = limitlaws.LimitLaw.from_json(json.load(fh))
-        except ValueError as exc:
-            raise InputError(f"compare: {law_path}: {exc}") from exc
+    law_dir = Path(args.law_dir)
+    law = _read_input(law_dir / "law.json",
+                      lambda path: limitlaws.LimitLaw.from_json(_load_json(path)))
+    data_dirs = [Path(d) for d in (args.mc_dir, args.gap_dir) if d]
+    ref = _read_input(law_dir / "manifest.json", _load_json) if data_dirs else {}
+    # the samples and the gap table must come from the law's n and potential
+    for d in data_dirs:
+        path = d / "manifest.json"
+        manifest = _read_input(path, _load_json)
+        for key in ("n", "potential"):
+            if key in manifest and key in ref and manifest[key] != ref[key]:
+                raise InputError(f"compare: {path}: inputs disagree on {key}: "
+                                 f"{manifest[key]} vs {ref[key]}")
     report = {}
     if args.mc_dir:
-        path = Path(args.mc_dir) / "samples.csv"
-        try:
-            sample = sampler.load_sample(path)
-        except ValueError as exc:
-            raise InputError(f"compare: {path}: {exc}") from exc
-        _check_consistency(Path(args.mc_dir), Path(args.law_dir))
+        sample = _read_input(Path(args.mc_dir) / "samples.csv", sampler.load_sample)
         ks = sampler.ks_distance(sample, law)
         report["ks_distance"] = ks
         report["ks_pass"] = bool(ks < args.ks_tol)
     if args.gap_dir:
-        path = Path(args.gap_dir) / "gap.json"
-        with open(path) as fh:
-            rows = json.load(fh)["rows"]
-        if not rows:
-            raise InputError(f"compare: {path}: a gap table needs at least one row")
-        t, thr, p = np.array(rows, dtype=float).reshape(-1, 3).T
-        if law.kind == "Mixture":
-            ref = law.cdf_lambda(thr, _manifest(Path(args.gap_dir))["n"])
-        else:
-            ref = law.cdf_standard(t)
-        worst = float(np.max(np.abs(p - ref)))
+        n, thresholds, p = _read_input(Path(args.gap_dir) / "gap.json", _gap_table)
+        worst = float(np.max(np.abs(p - law.cdf_lambda(thresholds, n))))
         report["max_gap_law_gap"] = worst
         report["gap_pass"] = bool(worst < args.gap_tol)
     out = _write_manifest(args)
     _write_json(out / "compare.json", report)
     print(json.dumps(report, indent=2))
     return EXIT_OK
-
-
-def _manifest(d: Path) -> dict:
-    with open(d / "manifest.json") as fh:
-        return json.load(fh)
-
-
-def _check_consistency(mc_dir: Path, law_dir: Path) -> None:
-    m1, m2 = _manifest(mc_dir), _manifest(law_dir)
-    for key in ("n", "potential"):
-        if key in m1 and key in m2 and m1[key] != m2[key]:
-            raise InputError(f"inputs disagree on {key}: {m1[key]} vs {m2[key]}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--potential", required=True, help="builtin name, eynard(e,eps), or JSON path")
         sp.add_argument("--out", default="out", help="output directory")
         if n_default is not None:
-            sp.add_argument("--a", type=float, default=None)
+            sp.add_argument("--a", type=_finite, default=None)
             sp.add_argument("--n", type=int, default=n_default)
 
     sp = sub.add_parser("equilibrium", help="support, density, edge data")
@@ -325,26 +362,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("critical", help="critical and secondary critical spike strengths")
     common(sp)
-    sp.add_argument("--a", type=float, default=None, help="tilt tabulated in comparison.csv")
-    sp.add_argument("--a-max", type=float, default=None)
+    sp.add_argument("--a", type=_finite, default=None, help="tilt tabulated in comparison.csv")
+    sp.add_argument("--a-max", type=_finite, default=None)
     sp.set_defaults(func=cmd_critical)
 
     sp = sub.add_parser("law", help="predicted limiting law and its CDF table")
     common(sp, n_default=100)
     sp.add_argument("--j", type=int, default=1)
-    sp.add_argument("--alpha", type=float, default=None)
+    sp.add_argument("--alpha", type=_finite, default=None)
     sp.add_argument("--a-critical", action="store_true",
                     help="place the spike at the critical value offset by --alpha")
-    sp.add_argument("--T-min", dest="t_min", type=float, default=-6.0)
-    sp.add_argument("--T-max", dest="t_max", type=float, default=4.0)
+    sp.add_argument("--T-min", dest="t_min", type=_finite, default=-6.0)
+    sp.add_argument("--T-max", dest="t_max", type=_finite, default=4.0)
     sp.add_argument("--T-steps", dest="t_steps", type=int, default=41)
     sp.set_defaults(func=cmd_law)
 
     sp = sub.add_parser("gap", help="finite-size gap probabilities over a threshold sweep")
     common(sp, n_default=20)
     sp.add_argument("--j", type=int, default=1)
-    sp.add_argument("--T-min", dest="t_min", type=float, default=-4.0)
-    sp.add_argument("--T-max", dest="t_max", type=float, default=3.0)
+    sp.add_argument("--T-min", dest="t_min", type=_finite, default=-4.0)
+    sp.add_argument("--T-max", dest="t_max", type=_finite, default=3.0)
     sp.add_argument("--T-steps", dest="t_steps", type=int, default=15)
     sp.set_defaults(func=cmd_gap)
 
@@ -359,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--law-dir", required=True)
     sp.add_argument("--mc-dir", default=None)
     sp.add_argument("--gap-dir", default=None)
-    sp.add_argument("--ks-tol", type=float, default=0.08)
-    sp.add_argument("--gap-tol", type=float, default=0.05)
+    sp.add_argument("--ks-tol", type=_finite, default=0.08)
+    sp.add_argument("--gap-tol", type=_finite, default=0.05)
     sp.add_argument("--out", default="out")
     sp.set_defaults(func=cmd_compare)
     return p
@@ -372,9 +409,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OverflowError, FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:

@@ -322,6 +322,15 @@ class LimitLaw:
     components: tuple = ()
 
     def __post_init__(self):
+        if self.kind not in ("F0", "F1", "Gauss", "GenGauss", "Mixture"):
+            raise ValueError(f"unknown law kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.center, self.scale_const, self.scale_exponent,
+                                       self.alpha))):
+            raise ValueError("center, scale_const, scale_exponent and alpha must be finite")
+        if self.kind == "F1":
+            _check_alpha(self.alpha)
+        if self.kind == "GenGauss" and not (isinstance(self.order, int) and self.order >= 1):
+            raise ValueError(f"GenGauss order {self.order!r} must be an integer >= 1")
         if self.kind == "Mixture":
             total = sum(w for w, _ in self.components)
             if abs(total - 1.0) > 1e-12:
@@ -380,19 +389,15 @@ class LimitLaw:
 
     @classmethod
     def from_json(cls, obj: dict) -> LimitLaw:
-        """The law that ``to_json`` wrote; a kind, or an F1 alpha, that the
-        CDFs cannot evaluate is a ValueError."""
-        kind = obj["kind"]
-        if kind not in ("F0", "F1", "Gauss", "GenGauss", "Mixture"):
-            raise ValueError(f"unknown law kind {kind!r}")
-        if kind == "Mixture":
+        """The law that ``to_json`` wrote; an object that is not a law the
+        CDFs can evaluate is a ValueError, TypeError or KeyError."""
+        if not isinstance(obj, dict):
+            raise ValueError("a law must be a JSON object")
+        if obj["kind"] == "Mixture":
             return cls("Mixture", components=tuple((w, cls.from_json(sub))
                                                    for w, sub in obj["components"]))
-        alpha = obj.get("alpha", 0.0)
-        if kind == "F1":
-            _check_alpha(alpha)
-        return cls(kind, center=obj["center"], scale_const=obj["scale_const"],
-                   scale_exponent=obj["scale_exponent"], alpha=alpha,
+        return cls(obj["kind"], center=obj["center"], scale_const=obj["scale_const"],
+                   scale_exponent=obj["scale_exponent"], alpha=obj.get("alpha", 0.0),
                    order=obj.get("order", 1))
 
 

@@ -1,15 +1,15 @@
-"""Polynomial confining potentials and the spike configuration."""
+"""Polynomial confining potentials."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Potential", "SpikeConfig", "eynard_potential", "horner", "load_potential"]
+__all__ = ["Potential", "eynard_potential", "horner", "load_potential"]
 
 MAX_DEGREE = 16
 
@@ -96,24 +96,6 @@ class Potential:
         if not isinstance(coeffs, list) or not all(isinstance(c, (int, float)) for c in coeffs):
             raise ValueError("'coefficients' must be a list of numbers")
         return Potential(tuple(coeffs), label=str(obj.get("label", "")))
-
-
-@dataclass(frozen=True)
-class SpikeConfig:
-    """Spike strength a, matrix-size parameter n and the size offset j."""
-
-    a: float
-    n: int
-    j: int = 1
-
-    def __post_init__(self):
-        if self.n < 4:
-            raise ValueError(f"n = {self.n} must be at least 4")
-        if not 1 <= self.j <= 4:
-            raise ValueError(f"j = {self.j} must lie in 1..4")
-        if self.a < 0:
-            raise ValueError(f"a = {self.a:g} is negative; negative spike strength is out of "
-                             "scope, mirror the potential instead")
 
 
 def derivative_or_zero(V: Potential, x, k: int):

@@ -80,6 +80,8 @@ class EdgeSample:
             raise ValueError("a sample needs at least one draw")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"n = {self.n!r} must be a positive integer")
         self.lambda_max = arr
         if self.method == "mcmc" and self.acceptance is not None:
             if not 0.1 <= self.acceptance <= 0.9:

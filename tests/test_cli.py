@@ -1,8 +1,10 @@
+import argparse
 import csv
 import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from spectral_edge import finitemodel, limitlaws, transition
-from spectral_edge.cli import main
+from spectral_edge.cli import _finite, build_parser, main
 from spectral_edge.equilibrium import density_psi, solve_support
 from spectral_edge.limitlaws import f0
 from spectral_edge.potential import load_potential
@@ -243,6 +245,27 @@ class TestGapCommand:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def compare_inputs(tmp_path_factory):
+    """The directories compare reads, as the CLI writes them: gue laws at
+    n = 20 and 100, gap tables of gue and quartic at n = 20, and gue draws
+    at n = 20."""
+    root = tmp_path_factory.mktemp("inputs")
+    for out, argv in [
+        ("law", ["law", "--potential", "gue", "--a", "0.5", "--n", "20", "--T-steps", "3"]),
+        ("law100", ["law", "--potential", "gue", "--a", "0.5", "--n", "100", "--T-steps", "3"]),
+        ("gap", ["gap", "--potential", "gue", "--a", "0.5", "--n", "20", "--T-steps", "3"]),
+        ("qgap", ["gap", "--potential", "quartic", "--a", "0.5", "--n", "20", "--T-steps", "3"]),
+        ("mc", ["montecarlo", "--potential", "gue", "--a", "0.5", "--n", "20", "--reps", "50"]),
+    ]:
+        assert run([*argv, "--out", str(root / out)]) == 0, argv
+    return root
+
+
+_GAUSS_LAW = {"kind": "Gauss", "center": 2.0, "scale_const": 1.0, "scale_exponent": 0.5}
+_GAP_ARGV = ["--law-dir", "law", "--gap-dir", "gap"]
+
+
 class TestMonteCarloAndCompare:
     def test_direct_sampling_and_ks(self, tmp_path):
         mc = tmp_path / "mc"
@@ -278,6 +301,40 @@ class TestMonteCarloAndCompare:
         assert report["max_gap_law_gap"] < 0.1
         assert report["gap_pass"]
 
+    def test_compare_gap_against_gauss_law(self, tmp_path):
+        # a Gauss law is evaluated at the table's thresholds, not at its
+        # edge-scaled T, which read 0.9986 here
+        gap, law, cmp_dir = tmp_path / "gap", tmp_path / "law", tmp_path / "cmp"
+        assert run(["gap", "--potential", "gue", "--a", "2", "--n", "100",
+                    "--out", str(gap)]) == 0
+        assert run(["law", "--potential", "gue", "--a", "2", "--n", "100",
+                    "--out", str(law)]) == 0
+        assert run(["compare", "--law-dir", str(law), "--gap-dir", str(gap),
+                    "--out", str(cmp_dir)]) == 0
+        report = json.loads((cmp_dir / "compare.json").read_text())
+        assert report["max_gap_law_gap"] < 1e-4
+        assert report["gap_pass"]
+
+    @pytest.mark.parametrize("kind, law_argv", [
+        ("F0", ["--a", "0.3"]),
+        ("F1", ["--a-critical", "--alpha", "0.5"]),
+    ], ids=["F0", "F1"])
+    def test_edge_law_gap_matches_standard_variable(self, tmp_path, kind, law_argv):
+        # an edge law at the table's thresholds is the law at the table's T
+        gap, law, cmp_dir = tmp_path / "gap", tmp_path / "law", tmp_path / "cmp"
+        assert run(["gap", "--potential", "gue", "--a", "0.5", "--T-steps", "7",
+                    "--out", str(gap)]) == 0
+        assert run(["law", "--potential", "gue", *law_argv, "--n", "20", "--T-steps", "3",
+                    "--out", str(law)]) == 0
+        assert run(["compare", "--law-dir", str(law), "--gap-dir", str(gap),
+                    "--out", str(cmp_dir)]) == 0
+        t, _, p = np.array(json.loads((gap / "gap.json").read_text())["rows"]).T
+        descriptor = limitlaws.LimitLaw.from_json(json.loads((law / "law.json").read_text()))
+        assert descriptor.kind == kind
+        expect = np.max(np.abs(p - descriptor.cdf_standard(t)))
+        report = json.loads((cmp_dir / "compare.json").read_text())
+        assert abs(report["max_gap_law_gap"] - expect) <= 1e-12
+
     def test_inconsistent_inputs_rejected(self, tmp_path):
         mc = tmp_path / "mc"
         law = tmp_path / "law"
@@ -302,6 +359,42 @@ class TestMonteCarloAndCompare:
         assert proc.returncode == 2
         assert proc.stderr.startswith("input error: compare:")
         assert "law.json" in proc.stderr and named in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "cmp").exists()
+
+    # (file to rewrite, its new content or a function of its old content,
+    #  compare's input flags, the file and the words the message names)
+    @pytest.mark.parametrize("target, content, argv, named", [
+        ("law/law.json", [], _GAP_ARGV, ("law.json", "not a JSON object")),
+        ("law/law.json", {**_GAUSS_LAW, "kind": "GenGauss", "order": 0}, _GAP_ARGV,
+         ("law.json", "order 0")),
+        ("law/law.json", {**_GAUSS_LAW, "center": math.nan}, _GAP_ARGV, ("law.json", "finite")),
+        ("gap/gap.json", [], _GAP_ARGV, ("gap.json", "not a JSON object")),
+        ("gap/gap.json", lambda t: {**t, "rows": [r[:2] for r in t["rows"]]}, _GAP_ARGV,
+         ("gap.json", "each row")),
+        ("gap/gap.json", lambda t: {**t, "rows": [[math.nan] * 3 for _ in t["rows"]]}, _GAP_ARGV,
+         ("gap.json", "finite")),
+        ("mc/samples.json", lambda m: {k: v for k, v in m.items() if k != "a"},
+         ["--law-dir", "law", "--mc-dir", "mc"],
+         ("samples.csv", "'a'")),
+        (None, None, ["--law-dir", "law100", "--gap-dir", "gap"],
+         ("manifest.json", "disagree on n")),
+        (None, None, ["--law-dir", "law", "--gap-dir", "qgap"],
+         ("manifest.json", "disagree on potential")),
+    ], ids=["law-array", "law-gengauss-order-0", "law-nan-center", "gap-array", "gap-short-rows",
+            "gap-nan-rows", "samples-without-a", "gap-n-differs", "gap-potential-differs"])
+    def test_malformed_compare_input_is_input_error(self, tmp_path, compare_inputs,
+                                                    target, content, argv, named):
+        shutil.copytree(compare_inputs, tmp_path, dirs_exist_ok=True)
+        if target is not None:
+            path = tmp_path / target
+            if callable(content):
+                content = content(json.loads(path.read_text()))
+            path.write_text(json.dumps(content))
+        proc = _cli_process(tmp_path, "compare", *argv, "--out", "cmp")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error:")
+        assert all(word in proc.stderr for word in named), proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "cmp").exists()
 
@@ -343,10 +436,11 @@ class TestSpikeValidation:
         (["gap", "--j", "0"], "j = 0"),
         (["montecarlo", "--n", "0"], "n = 0"),
         (["law", "--a", "-0.5"], "a = -0.5"),
+        (["law", "--a", "0.5", "--n", "3"], "n = 3"),
         (["law", "--a", "1.7", "--a-critical", "--alpha", "0.5"], "exactly one of --a and --a-critical"),
         (["law", "--a", "0.5", "--alpha", "0.7"], "--alpha offsets the spike from a_c"),
-    ], ids=["gap-j30", "gap-j0", "montecarlo-n0", "law-negative-a", "law-a-and-a-critical",
-            "law-alpha-without-a-critical"])
+    ], ids=["gap-j30", "gap-j0", "montecarlo-n0", "law-negative-a", "law-n3",
+            "law-a-and-a-critical", "law-alpha-without-a-critical"])
     def test_bad_spike_is_input_error(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
         assert run([*argv, "--potential", "gue", "--out", str(out)]) == 2
@@ -443,6 +537,32 @@ class TestSpikeValidation:
             run([*argv, "--potential", "gue", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _subcommand_options() -> list:
+    """(subcommand, action) of every option of every subcommand."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(cmd, action) for cmd, sp in sub.choices.items() for action in sp._actions]
+
+
+class TestRealValuedFlags:
+    def test_every_real_flag_is_checked_finite(self):
+        assert [(cmd, a.dest) for cmd, a in _subcommand_options() if a.type is float] == []
+        flags = {a.option_strings[0] for _, a in _subcommand_options() if a.type is _finite}
+        assert flags == {"--a", "--a-max", "--alpha", "--T-min", "--T-max", "--ks-tol",
+                         "--gap-tol"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "x"])
+    def test_non_finite_value_exits_2(self, capsys, value):
+        for cmd, action in _subcommand_options():
+            if action.type is not _finite:
+                continue
+            flag = action.option_strings[0]
+            with pytest.raises(SystemExit) as exc:
+                run([cmd, f"{flag}={value}"])
+            assert exc.value.code == 2, (cmd, flag)
+            err = capsys.readouterr().err
+            assert f"argument {flag}: '{value}' is not a finite number" in err, err
 
 
 # Runs ``python -m spectral_edge.cli`` with the arguments in argv[1] (JSON),

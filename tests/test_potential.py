@@ -11,7 +11,6 @@ from spectral_edge.potential import (
     GUE,
     QUARTIC,
     Potential,
-    SpikeConfig,
     eynard_companion_root,
     eynard_potential,
     horner,
@@ -114,23 +113,6 @@ class TestAdmissibility:
         V = Potential(coeffs)
         assert V.degree % 2 == 0
         assert V.coefficients[-1] > 0
-
-
-class TestSpikeConfig:
-    def test_valid(self):
-        SpikeConfig(a=0.5, n=20, j=1)
-
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            SpikeConfig(a=0.5, n=3, j=1)
-
-    def test_j_range(self):
-        with pytest.raises(ValueError):
-            SpikeConfig(a=0.5, n=20, j=5)
-
-    def test_negative_spike_rejected(self):
-        with pytest.raises(ValueError):
-            SpikeConfig(a=-0.5, n=20, j=1)
 
 
 class TestEynard:
