@@ -53,6 +53,13 @@ def _write_json(path: Path, obj) -> None:
         json.dump(obj, fh, indent=2)
 
 
+def _check_out(args) -> None:
+    """Reject, before any work, an --out path that names a file or lies under one."""
+    existing = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+    if not existing.is_dir():
+        raise InputError(f"{args.command}: --out {args.out}: {existing} is not a directory")
+
+
 def _write_manifest(args) -> Path:
     """Create the output directory, write the manifest of the resolved
     configuration into it, and return it."""
@@ -313,11 +320,13 @@ def _gap_table(path: Path):
 def cmd_compare(args) -> int:
     from . import limitlaws, sampler
 
+    data_dirs = [Path(d) for d in (args.mc_dir, args.gap_dir) if d]
+    if not data_dirs:
+        raise InputError("compare: nothing to compare; give --mc-dir, --gap-dir or both")
     law_dir = Path(args.law_dir)
     law = _read_input(law_dir / "law.json",
                       lambda path: limitlaws.LimitLaw.from_json(_load_json(path)))
-    data_dirs = [Path(d) for d in (args.mc_dir, args.gap_dir) if d]
-    ref = _read_input(law_dir / "manifest.json", _load_json) if data_dirs else {}
+    ref = _read_input(law_dir / "manifest.json", _load_json)
     # the samples and the gap table must come from the law's n and potential
     for d in data_dirs:
         path = d / "manifest.json"
@@ -407,6 +416,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potential import Potential
-from .specialfn import QuadratureRule, gauss_legendre
+from .specialfn import QuadratureRule, fredholm_det, gauss_legendre
 
 __all__ = [
     "GridError",
@@ -200,10 +200,9 @@ def gap_probability_raw(sk: SpikedKernel, intervals, factored: bool = True) -> f
     weight has underflown.  The factored route evaluates the unspiked
     determinant times the rank-one resolvent correction,
     det(I - M) (1 - <psi_{n-j}, (I - M)^{-1} psi~>), as the determinant of
-    I - M bordered by the two functions: one LU factorisation, whose last
-    pivot is the correction, and no separate solve (a singular I - M needs
-    no special case).  The direct route takes the determinant of the full
-    spiked kernel and is kept as a cross-check (the two agree to rounding).
+    I - M bordered by the two functions.  The direct route takes the
+    determinant of the full spiked kernel and is kept as a cross-check (the
+    two agree to rounding).
     """
     L = sk.ortho.grid.interval[1]
     segs = []
@@ -222,10 +221,6 @@ def gap_probability_raw(sk: SpikedKernel, intervals, factored: bool = True) -> f
     px = sk.ortho.psi_at(xs)
     K = px[:nj].T @ px[:nj]
     tpsi = sk.tilde_psi_at(xs, px)
-    ident = np.eye(xs.size)
     if factored:
-        bordered = np.block([[ident - sw[:, None] * K * sw[None, :], (sw * tpsi)[:, None]],
-                             [(sw * px[nj])[None, :], np.ones((1, 1))]])
-        return float(np.linalg.det(bordered))
-    Mt = sw[:, None] * (K + np.outer(tpsi, px[nj])) * sw[None, :]
-    return float(np.linalg.det(ident - Mt))
+        return float(fredholm_det(sw[:, None] * K * sw[None, :], sw * tpsi, sw * px[nj]))
+    return float(fredholm_det(sw[:, None] * (K + np.outer(tpsi, px[nj])) * sw[None, :]))

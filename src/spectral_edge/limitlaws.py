@@ -5,10 +5,10 @@ The soft-edge distribution is the Fredholm determinant of the Airy kernel
 on [T, infinity), evaluated by a Nystrom discretization on a truncated
 interval; the kernel decays super-exponentially, so plain Gauss-Legendre
 nodes on [T, T+L] converge to machine precision well before m = 40.  The
-critical deformation applies the discretized resolvent to the deformation
-profile c_alpha and takes the weighted inner product with Ai.  A table of T
-is one pass: stacked kernels with batched det, cond and solve, and one
-cumulative c_alpha over every node of the stack.
+critical deformation is the same determinant bordered by the deformation
+profile c_alpha and by Ai, which is det(I - K) (1 - <Ai, (I - K)^{-1}
+c_alpha>).  A table of T is one pass: stacked kernels with one batched
+determinant, and one cumulative c_alpha over every node of the stack.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .potential import derivative_or_zero
 from .specialfn import (
     ENVELOPE_RADIUS,
     airy_ai_pair,
+    fredholm_det,
     gen_gauss_cdf,
     legendre_reference,
     normal_cdf,
@@ -53,8 +54,9 @@ _BASE_SPAN = 16.0
 # Left cutoff of the F0 and F1 CDFs: f0(-9) = 2.7e-27 and F1 <= F0 (f1 is f0
 # times 1 - <resolvent profile, Ai>, a factor in [0, 1]), so both CDFs are 0
 # to double precision below it.  Further left I - K is singular to working
-# precision and f1's resolvent solve fails (from T ~ -9.5).  f0 and f1
-# return 0 at and below it, and raise below the Nystrom window.
+# precision (cond 2.7e9 at T = -9, 1.9e11 at -10) and both determinants are
+# rounding noise.  f0 and f1 return 0 at and below it, and raise below the
+# Nystrom window.
 CDF_FLOOR = -9.0
 # Right cutoff, mirroring the floor: f0 and f1 return 1 at and above it.
 # The kernel and Ai are below rounding on every Nystrom node there (Ai(50) =
@@ -154,7 +156,7 @@ def f0(T, m: int = DEFAULT_NODES):
     T may be a scalar (the result is a float) or an array.
     """
     def block(Tb):
-        return np.linalg.det(np.eye(m) - AiryDiscretization(Tb, m).kernel)
+        return fredholm_det(AiryDiscretization(Tb, m).kernel)
 
     return _by_blocks(T, m, block)
 
@@ -228,15 +230,8 @@ def f1(T, alpha: float, m: int = DEFAULT_NODES):
 
     def block(Tb):
         disc = AiryDiscretization(Tb, m, L=_span_for(alpha))
-        system = np.eye(m) - disc.kernel
-        det0 = np.linalg.det(system)
-        rhs = disc.sqrt_w * c_alpha(disc.nodes, alpha)
-        cond = np.max(np.linalg.cond(system))
-        if cond > 1e10:
-            raise RuntimeError(f"resolvent system ill-conditioned: cond = {cond:.2e}")
-        u = np.linalg.solve(system, rhs[..., None])[..., 0]
-        inner = np.sum(disc.sqrt_w * disc.ai * u, axis=-1)
-        return det0 * (1.0 - inner)
+        return fredholm_det(disc.kernel, disc.sqrt_w * c_alpha(disc.nodes, alpha),
+                            disc.sqrt_w * disc.ai)
 
     return _by_blocks(T, m, block)
 

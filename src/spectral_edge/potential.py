@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -31,8 +32,8 @@ def horner(coeffs, x):
 class Potential:
     """Polynomial potential in the monomial basis; coefficients[i] multiplies x^i.
 
-    Admissibility: even degree between 2 and 16 with a positive leading
-    coefficient, which guarantees super-linear growth at both infinities.
+    Admissibility: finite coefficients and an even degree between 2 and 16
+    with a positive leading coefficient, for super-linear growth both ways.
     """
 
     coefficients: tuple[float, ...]
@@ -40,6 +41,8 @@ class Potential:
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coefficients)
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"coefficients must be finite, got {coeffs}")
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)

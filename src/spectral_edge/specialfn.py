@@ -1,4 +1,4 @@
-"""Airy functions, Gaussian-family CDFs and Gauss-Legendre rules.
+"""Airy functions, Gaussian CDFs, Gauss-Legendre rules, Fredholm determinants.
 
 Airy values come from ``scipy.special.airy``.  The vectorized kernel
 evaluator :func:`airy_ai_pair` uses it for |x| < 8 only.  From |x| = 8 out
@@ -29,6 +29,7 @@ from scipy.special import airy, erfc, gammaincc
 __all__ = [
     "QuadratureRule",
     "airy_ai_pair",
+    "fredholm_det",
     "gauss_legendre",
     "gen_gauss_cdf",
     "legendre_reference",
@@ -173,6 +174,16 @@ def legendre_reference(m: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def fredholm_det(M: np.ndarray, left=None, right=None):
+    """det(I - M) for a stack of square M (..., m, m); with a column ``left`` and a row
+    ``right`` (..., m), det [[I - M, left], [right, 1]] = det(I - M) (1 - right (I - M)^-1 left)
+    in one LU, with no solve and so no special case for a singular I - M."""
+    if left is not None:
+        M = np.pad(M, [(0, 0)] * (M.ndim - 2) + [(0, 1), (0, 1)])
+        M[..., :-1, -1], M[..., -1, :-1] = -left, -right
+    return np.linalg.det(np.eye(M.shape[-1]) - M)
 
 
 def gauss_legendre(m: int, lo: float, hi: float) -> QuadratureRule:

@@ -55,13 +55,11 @@ __all__ = [
     "convex_type",
     "critical_a",
     "fluct_scale",
-    "in_A_V",
     "maximizer_set",
     "phase_diagram",
     "scan",
     "scan_upper_bound",
     "secondary_criticals",
-    "switch_band",
     "x0_of",
 ]
 
@@ -262,11 +260,6 @@ def _phi(eq: EquilibriumData, a: float, s: Scan) -> float:
     return max([G_fn(eq, a, s.c)] + [v for _, v in s.maxima]) - s.h_c
 
 
-def in_A_V(eq: EquilibriumData, a: float) -> bool:
-    """Whether some G value right of the H minimum beats the H minimum."""
-    return _phi(eq, a, scan(eq, a)) > _DETACH_TOL
-
-
 def critical_a(eq: EquilibriumData) -> float:
     """Infimum spike strength at which detachment wins: the root of phi - 1e-12,
     computed once per equilibrium and kept on it."""
@@ -338,14 +331,6 @@ def _overlaps(runs: tuple, floor: float = -math.inf) -> list:
     pairs = [(r, t, max(r[2], t[2], floor), min(r[3], t[3])) for i, r in enumerate(runs)
              for t in runs[i + 1:]]
     return [p for p in pairs if p[2] < p[3]]
-
-
-def switch_band(eq: EquilibriumData) -> tuple[float, float] | None:
-    """Smallest interval of tilts a holding every a at which G has two local
-    maxima right of the edge, or None when G never has two: each rising run
-    of W holds at most one, so the band is the hull of the levels two cross."""
-    spans = [(lo, hi) for _, _, lo, hi in _overlaps(_rising_runs(eq))]
-    return (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else None
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,11 @@ density through the exponential divided difference that the Metropolis
 chain never forms, and the top eigenvalue of the full tridiagonal model by
 LAPACK, where the direct sampler bisects a leading block in numpy.  Ai at
 complex arguments, which the library never evaluates through scipy, is
-here for the rotation identity.
+here for the rotation identity.  The soft-edge law and the critical law at
+alpha = 0 come from the closed forms of Ferrari and Spohn, determinants of
+the Airy Hankel operator, where the library takes the Airy kernel.  Two
+views of the phase structure that only the tests read, the detachment set
+A_V and the band of tilts with two local maxima of G, are here as well.
 """
 
 import math
@@ -20,6 +24,7 @@ from scipy.special import airy
 from spectral_edge.equilibrium import EquilibriumData, NotOneCutError
 from spectral_edge.potential import Potential, horner
 from spectral_edge.specialfn import ENVELOPE_RADIUS, legendre_reference
+from spectral_edge.transition import _DETACH_TOL, _overlaps, _phi, _rising_runs, scan
 
 
 def complex_ai(z) -> complex:
@@ -161,3 +166,36 @@ def full_tridiagonal_draws(n: int, a: float, reps: int, seed: int) -> np.ndarray
         off = np.sqrt(rng.chisquare(dof, size=(b, n - 1)) / (2.0 * n))
         out[start:start + b] = [top_eigenvalue_lapack(d, e) for d, e in zip(diag, off)]
     return out
+
+
+def _hankel_dets(T: float, m: int = 80, span: float = 16.0) -> tuple[float, float]:
+    """det(1 - B_T) and det(1 + B_T), B_T(x, y) = Ai(x + y + T) on L^2(0, inf),
+    by m Gauss-Legendre nodes on (0, span), where B_T has decayed below rounding."""
+    t, w = legendre_reference(m)
+    x, sw = 0.5 * span * (t + 1.0), np.sqrt(0.5 * span * w)
+    B = sw[:, None] * airy(x[:, None] + x[None, :] + T)[0] * sw[None, :]
+    return float(np.linalg.det(np.eye(m) - B)), float(np.linalg.det(np.eye(m) + B))
+
+
+def f0_closed_form(T: float) -> float:
+    """The soft-edge law F2(T) = det(1 - B_T) det(1 + B_T) (Ferrari-Spohn)."""
+    minus, plus = _hankel_dets(T)
+    return minus * plus
+
+
+def f1_closed_form_alpha0(T: float) -> float:
+    """The critical law at alpha = 0, F_GOE(T)^2 = det(1 - B_T)^2."""
+    return _hankel_dets(T)[0] ** 2
+
+
+def in_A_V(eq: EquilibriumData, a: float) -> bool:
+    """Whether some G value right of the H minimum beats the H minimum."""
+    return _phi(eq, a, scan(eq, a)) > _DETACH_TOL
+
+
+def switch_band(eq: EquilibriumData) -> tuple[float, float] | None:
+    """Smallest interval of tilts a holding every a at which G has two local
+    maxima right of the edge, or None when G never has two: each rising run
+    of W holds at most one, so the band is the hull of the levels two cross."""
+    spans = [(lo, hi) for _, _, lo, hi in _overlaps(_rising_runs(eq))]
+    return (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else None

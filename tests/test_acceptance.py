@@ -36,11 +36,10 @@ from spectral_edge.transition import (
     c_of_a,
     critical_a,
     fluct_scale,
-    in_A_V,
     x0_of,
 )
 
-from oracles import c_alpha_contour, complex_ai, log_density_rank1
+from oracles import c_alpha_contour, complex_ai, in_A_V, log_density_rank1
 
 
 # Criterion 5 compares the KS distance at n = 100, 200 and 400.  Every point

@@ -59,6 +59,18 @@ class TestEquilibriumCommand:
         code = run(["equilibrium", "--potential", "no-such", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["equilibrium"], ["law", "--a", "0.5"]])
+    @pytest.mark.parametrize("value", ["NaN", "1e400"])
+    def test_non_finite_coefficient_is_input_error(self, tmp_path, capsys, command, value):
+        # 1e400 parses as inf
+        pot = tmp_path / "bad.json"
+        pot.write_text(f'{{"coefficients": [0, {value}, 1]}}')
+        out = tmp_path / "x"
+        assert run([*command, "--potential", str(pot), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: potential:") and "finite" in err
+        assert not out.exists()
+
     def test_two_cut_numeric_failure_exit_code(self, tmp_path):
         pot = tmp_path / "dw.json"
         pot.write_text(json.dumps({"label": "dw", "coefficients": [0, 0, -2.0, 0, 0.25]}))
@@ -350,17 +362,25 @@ class TestMonteCarloAndCompare:
         ({"kind": "Bogus"}, "unknown law kind 'Bogus'"),
         ({"kind": "F1", "alpha": 7}, "|alpha| <= 4"),
     ], ids=["unknown-kind", "f1-alpha-out-of-range"])
-    def test_unusable_law_is_input_error(self, tmp_path, law, named):
+    def test_unusable_law_is_input_error(self, tmp_path, compare_inputs, law, named):
         law_dir = tmp_path / "law"
         law_dir.mkdir()
         (law_dir / "law.json").write_text(json.dumps(
             {"center": 2.0, "scale_const": 1.0, "scale_exponent": 0.0, **law}))
-        proc = _cli_process(tmp_path, "compare", "--law-dir", "law", "--out", "cmp")
+        proc = _cli_process(tmp_path, "compare", "--law-dir", "law",
+                            "--gap-dir", str(compare_inputs / "gap"), "--out", "cmp")
         assert proc.returncode == 2
         assert proc.stderr.startswith("input error: compare:")
         assert "law.json" in proc.stderr and named in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "cmp").exists()
+
+    def test_nothing_to_compare_is_input_error(self, tmp_path, compare_inputs, capsys):
+        out = tmp_path / "cmp"
+        assert run(["compare", "--law-dir", str(compare_inputs / "law"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: compare:") and "--mc-dir" in err and "--gap-dir" in err
+        assert not out.exists()
 
     # (file to rewrite, its new content or a function of its old content,
     #  compare's input flags, the file and the words the message names)
@@ -415,6 +435,23 @@ class TestMonteCarloAndCompare:
         err = capsys.readouterr().err
         assert "montecarlo" in err and "64" in err
         assert not out.exists()
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_file_in_the_way_is_input_error(self, tmp_path, capsys, monkeypatch, out):
+        # the path is checked before any work: the equilibrium solver never runs
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("solve_support ran before the --out check")
+
+        monkeypatch.setattr("spectral_edge.equilibrium.solve_support", no_work)
+        assert run(["equilibrium", "--potential", "gue", "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: equilibrium: --out") and str(afile) in err
+        assert afile.read_text() == "kept"
 
 
 class TestManifest:

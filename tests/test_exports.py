@@ -1,5 +1,6 @@
 """Every name the package and its modules export through ``__all__`` resolves,
-and has a use outside the tests."""
+and has a use outside the tests: code only the tests call lives in
+``tests/oracles.py``."""
 
 import ast
 import importlib
@@ -24,11 +25,6 @@ def test_all_names_resolve(name):
 ROOT = Path(__file__).resolve().parents[1]
 # Where a use counts: the library itself, the scripts and the benchmark.
 USE_DIRS = ("src", "scripts", "perfbench")
-# Exported names whose only callers are tests, each with its reason.
-TEST_ONLY = {
-    "spectral_edge.transition.in_A_V": "the transition tests sweep the set A_V with it",
-    "spectral_edge.transition.switch_band": "the transition tests bound their tilt sweeps with it",
-}
 
 
 def _use_lines() -> list:
@@ -55,7 +51,7 @@ def test_every_export_is_used_outside_tests():
             definition = re.compile(rf"^\s*(def|class)\s+{re.escape(export)}\b")
             if not any(word.search(line) and not definition.match(line) for line in lines):
                 unused.append(f"{name}.{export}")
-    assert sorted(unused) == sorted(TEST_ONLY)
+    assert unused == []
 
 
 def test_only_the_cli_and_sampler_import_csv():
@@ -73,3 +69,11 @@ def test_only_the_cli_and_sampler_import_csv():
             if "csv" in names:
                 importers.add(path.name)
     assert sorted(importers) == ["cli.py", "sampler.py"]
+
+
+def test_every_determinant_goes_through_fredholm_det():
+    # specialfn.fredholm_det takes every determinant; the only other linalg
+    # call is the Newton step of the support solve
+    calls = {(path.name, fn) for path in sorted((ROOT / "src").rglob("*.py"))
+             for fn in re.findall(r"\blinalg\.(\w+)\(", path.read_text())}
+    assert calls == {("specialfn.py", "det"), ("equilibrium.py", "solve")}

@@ -20,7 +20,7 @@ from spectral_edge.limitlaws import (
 from spectral_edge.specialfn import airy_ai_pair, gauss_legendre, normal_cdf
 from spectral_edge.transition import c_of_a, critical_a, maximizer_set
 
-from oracles import c_alpha_contour
+from oracles import c_alpha_contour, f0_closed_form, f1_closed_form_alpha0
 
 OMEGA = cmath.exp(2j * math.pi / 3.0)
 
@@ -148,7 +148,7 @@ class TestDeformedLaw:
             assert f1(T, 0.0) <= f0(T) + 1e-12
 
     def test_monotone_cdf(self):
-        # below T ~ -9 the spec's own conditioning guard trips (the
+        # below T ~ -9 I - K is singular to working precision (the
         # restricted determinant is ~1e-40 there), so the grid starts at -8
         ts = np.linspace(-8.0, 4.0, 40)
         for alpha in (-1.0, 1.0):
@@ -156,13 +156,25 @@ class TestDeformedLaw:
             assert all(-1e-10 <= v <= 1.0 + 1e-10 for v in vals)
             assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
 
+    def test_closed_forms(self):
+        # Ferrari-Spohn: F2 = det(1 - B) det(1 + B) and, at alpha = 0, the
+        # critical law F_GOE^2 = det(1 - B)^2, with B the Airy Hankel operator;
+        # near the floor I - K is nearly singular, and no other check reaches it
+        for T in np.linspace(-8.9, 3.0, 24):
+            assert abs(f0(T) - f0_closed_form(T)) < 1e-13
+            assert abs(f1(T, 0.0) - f1_closed_form_alpha0(T)) < 1e-13
+
+    @pytest.mark.parametrize("alpha", [-4.0, -1.5, 0.0, 1.5, 4.0])
+    def test_vanishes_at_the_floor(self, alpha):
+        assert abs(f1(CDF_FLOOR + 0.01, alpha)) < 1e-20
+
     def test_escape_side_vanishes(self):
         assert f1(0.0, -4.0, 120) < 1e-3
 
     def test_law_cdf_answers_left_of_the_floor(self):
-        # f1's resolvent solve breaks down from T ~ -9.5; the law-level CDF
-        # must still answer there, and its cutoff must be where the
-        # determinant is already 0 to double precision
+        # f1's bordered determinant is rounding noise from T ~ -9.5; the
+        # law-level CDF must still answer there, and its cutoff must be where
+        # the determinant is already 0 to double precision
         for alpha in (-1.5, -0.5, 0.0, 0.5, 1.5):
             law = LimitLaw("F1", center=2.0, scale_const=1.0, scale_exponent=2.0 / 3.0, alpha=alpha)
             assert law.cdf_standard(-10.0) == 0.0

@@ -103,6 +103,13 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             Potential((1.0,))
 
+    @pytest.mark.parametrize("coeffs", [(0.0, math.nan, 1.0), (0.0, math.inf, 1.0),
+                                        (0.0, 0.0, 1.0, math.nan)],
+                             ids=["nan", "inf", "trailing-nan"])
+    def test_non_finite_coefficient_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            Potential(coeffs)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(min_value=-2, max_value=2), min_size=0, max_size=5),
            st.floats(min_value=0.01, max_value=3.0))

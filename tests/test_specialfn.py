@@ -12,6 +12,7 @@ from spectral_edge.specialfn import (
     AiryDomainError,
     QuadratureRule,
     airy_ai_pair,
+    fredholm_det,
     gauss_legendre,
     gen_gauss_cdf,
     legendre_reference,
@@ -208,6 +209,29 @@ class TestGaussLegendre:
         bad = QuadratureRule(rule.nodes, -rule.weights, rule.interval)
         with pytest.raises(ValueError):
             bad.validate()
+
+
+class TestFredholmDet:
+    def test_stack_and_border(self):
+        # a stack of 3 x 2 kernels of size 6, each with its own border
+        rng = np.random.default_rng(4)
+        M = 0.3 * rng.standard_normal((3, 2, 6, 6))
+        left, right = rng.standard_normal((2, 3, 2, 6))
+        plain, bordered = fredholm_det(M), fredholm_det(M, left, right)
+        assert plain.shape == bordered.shape == (3, 2)
+        for i, k in np.ndindex(3, 2):
+            system = np.eye(6) - M[i, k]
+            det = np.linalg.det(system)
+            assert plain[i, k] == det
+            resolvent = right[i, k] @ np.linalg.solve(system, left[i, k])
+            assert abs(bordered[i, k] - det * (1.0 - resolvent)) < 1e-13 * max(1.0, abs(det))
+
+    def test_singular_system_needs_no_solve(self):
+        # I - M = diag(0, 1, 1): the border alone carries the determinant,
+        # -left[0] * right[0]
+        M = np.diag([1.0, 0.0, 0.0])
+        assert fredholm_det(M) == 0.0
+        assert fredholm_det(M, np.array([2.0, 5.0, 7.0]), np.array([3.0, 11.0, 13.0])) == -6.0
 
 
 LEGGAUSS_SIZES = sorted(set(range(2, 301)) | {480, 512, 528, 1024, 1040, 1536, 1552, 2048, 2064})

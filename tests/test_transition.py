@@ -18,17 +18,16 @@ from spectral_edge.transition import (
     convex_type,
     critical_a,
     fluct_scale,
-    in_A_V,
     maximizer_set,
     phase_diagram,
     scan,
     scan_upper_bound,
     secondary_criticals,
-    switch_band,
     x0_of,
 )
 
 from conftest import gue_g_prime
+from oracles import in_A_V, switch_band
 
 
 def gue_g_second(x: float) -> float:
