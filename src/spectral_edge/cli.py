@@ -235,6 +235,8 @@ def cmd_gap(args) -> int:
     _write_csv(out / "gap.csv", ["T", "threshold", "gap_probability"], rows)
     _write_json(out / "gap.json", {"n": args.n, "j": args.j, "a": a, "clamped": clamped,
                                    "raw_range": [float(raw.min()), float(raw.max())],
+                                   "string_residual": ortho.string_residual,
+                                   "grid_nodes": ortho.grid.nodes.size,
                                    "rows": [list(r) for r in rows]})
     print(f"wrote {len(rows)} gap values to {out / 'gap.csv'}")
     return EXIT_OK

@@ -2,10 +2,12 @@
 weight, the reproducing kernel, the rank-one spike correction, and gap
 probabilities as Fredholm determinants.
 
-All functions carry the square root of the weight folded in, so the
-three-term recurrence runs on bounded values and inner products are plain
-weighted sums on the quadrature grid.  Exponentials of order exp(n*c) are
-handled by factoring out the maximal exponent once per spike.
+One three-term recurrence, run on psi_k = u_k e^s with s = -n V/2 - log norm0
+and |u| moved into s past 1e100 (Bunck, BIT 2009), is both the Stieltjes
+build and ``psi_at``.  The build's one check is the string equations of the
+weight e^{-n V}, n [V'(J)]_{k,k-1} = k / b_k and [V'(J)]_{kk} = 0 (Freud
+1976; Magnus 1995); its Gauss-Legendre panels double until they hold.  The
+spike's exponentials are scaled by their maximum once per spike.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import Potential
-from .specialfn import QuadratureRule, fredholm_det, gauss_legendre
+from .potential import Potential, horner
+from .specialfn import QuadratureRule, fredholm_det, gauss_legendre, legendre_reference
 
 __all__ = [
     "GridError",
@@ -29,8 +31,11 @@ __all__ = [
 
 MAX_N = 128
 _UNDERFLOW_LOG = 330.0 * math.log(10.0)
-_NODES_PER_FUNCTION = 16
-_MIN_GRID = 512
+_PANEL = 16             # Gauss-Legendre nodes per panel of the orthonormal build's grid
+_DOUBLINGS = 5          # grid doublings before the string equations count as unresolved
+_STRING_TOL = 1e-12     # relative residual of the string equations
+_RESCALE = 1e100        # a bound on |u| past this moves u into s
+_NEGLIGIBLE = 1e-150    # a gap node whose values all lie below this is zeroed
 _GAP_NODES = 160        # Gauss-Legendre nodes per interval of a gap determinant
 
 
@@ -51,88 +56,104 @@ def choose_halfwidth(V: Potential, n: int, a: float = 0.0) -> float:
     raise GridError("could not find a half-width containing the weight")
 
 
+def _recurrence(V: Potential, n: int, log_norm0: float, x, ra, rb, w=None):
+    """The first len(ra) functions at the points x as rows u and an exponent
+    s, psi_k = u_k e^s, from u_0 = 1.  With quadrature weights w, a_k and
+    b_{k+1} come from the rows into the lists ra and rb (Stieltjes); without,
+    they are read.  A bound on max |u| grows by (max|x| + |a_k| + b_k) / b_{k+1}
+    per step; past 1e100 every row is divided by f = max(1, |u_{k-1}|, |u_k|)
+    pointwise and log f is added to s."""
+    u = np.empty((len(ra), x.size))
+    u[0] = 1.0
+    s = -0.5 * n * V.eval(x) - log_norm0
+    rows, reach, bound = list(u), float(np.abs(x).max(initial=0.0)), 1.0
+    wu = None if w is None else w * np.exp(2.0 * s)     # sum w psi_i psi_j = sum wu u_i u_j
+    for k, row in enumerate(rows):
+        if bound > _RESCALE:
+            f = np.maximum(1.0, np.abs(u[max(k - 1, 0):k + 1]).max(axis=0))
+            u[:k + 1] /= f
+            s += np.log(f)
+            bound, wu = 1.0, None if w is None else w * np.exp(2.0 * s)
+        if wu is not None:
+            ra[k] = float(np.dot(wu * x, row * row))
+        if k == len(rows) - 1:
+            return u, s
+        v = (x - ra[k]) * row
+        if k:
+            v -= rb[k] * rows[k - 1]
+        if wu is not None:
+            rb[k + 1] = math.sqrt(float(np.dot(wu, v * v)))
+            if not rb[k + 1] > 0.0:
+                raise GridError(f"degenerate recurrence at degree {k + 1}")
+        np.divide(v, rb[k + 1], out=rows[k + 1])
+        bound *= max(1.0, (reach + abs(ra[k]) + rb[k]) / rb[k + 1])
+
+
+def _string_residual(V: Potential, n: int, ra, rb, rows: int) -> float:
+    """max over k < rows of |n b_k [V'(J)]_{k,k-1} / k - 1| and
+    |[V'(J)]_{kk}| / |V'|(||J||_inf), |V'| with V''s coefficients in modulus."""
+    J = np.diag(ra) + np.diag(rb[1:], 1) + np.diag(rb[1:], -1)
+    dv = V.deriv_coefficients(1)
+    D = np.zeros_like(J)
+    for c in dv[::-1]:
+        D = D @ J
+        D.flat[::len(J) + 1] += c
+    k = np.arange(1, rows)
+    off = np.abs(n * np.asarray(rb)[k] * D[k, k - 1] / k - 1.0)
+    diag = np.abs(np.diag(D)[:rows]) / horner(np.abs(dv), float(np.abs(J).sum(axis=1).max()))
+    return float(max(off.max(initial=0.0), diag.max(initial=0.0)))
+
+
 @dataclass
 class OrthoSystem:
-    """Orthonormal functions p_i(x) e^{-n V(x)/2} on a Gauss-Legendre grid."""
+    """psi_i = p_i e^{-n V/2} / norm0, i < count, by the Jacobi matrix (diagonal
+    ``recur_a``, ``recur_b[k]`` = J_{k,k-1}), the build's grid and its residual."""
 
     V: Potential
     n: int
     count: int
     grid: QuadratureRule
-    psi_values: np.ndarray = field(repr=False)       # (count, m_grid)
     recur_a: np.ndarray = field(repr=False)
-    recur_b: np.ndarray = field(repr=False)          # b[k] = gamma_{k-1}/gamma_k
-    _norm0: float = 0.0
+    recur_b: np.ndarray = field(repr=False)
+    log_norm0: float
+    string_residual: float
 
-    def orthonormality_defect(self) -> float:
-        gram = (self.psi_values * self.grid.weights) @ self.psi_values.T
-        return float(np.max(np.abs(gram - np.eye(self.count))))
+    def scaled_at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows u, shape (count, x.size), and s with psi_k(x) = u_k(x) e^{s(x)}."""
+        return _recurrence(self.V, self.n, self.log_norm0, np.asarray(x, dtype=float).ravel(),
+                           self.recur_a.tolist(), self.recur_b.tolist())
 
     def psi_at(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate all weighted functions at arbitrary points by the recurrence."""
-        xs = np.asarray(x, dtype=float)
-        out = np.zeros((self.count, xs.size))
-        out[0] = np.exp(-0.5 * self.n * self.V.eval(xs)) / self._norm0
-        for k in range(self.count - 1):
-            v = (xs - self.recur_a[k]) * out[k]
-            if k >= 1:
-                v = v - self.recur_b[k] * out[k - 1]
-            out[k + 1] = v / self.recur_b[k + 1]
-        return out
+        """All functions at the points x, shape (count, x.size)."""
+        u, s = self.scaled_at(x)
+        return u * np.exp(s)
 
 
 def build_ortho(V: Potential, n: int, count: int, a_hint: float = 0.0) -> OrthoSystem:
-    """Stieltjes construction of the weighted orthonormal system.
-
-    The recurrence runs directly on the weighted function values, with a
-    double full re-orthogonalization per step, on [-L, L] with L from
-    ``choose_halfwidth``; the grid takes sixteen nodes per function, which
-    keeps the discrete system within rounding of the continuum one for all
-    supported sizes.
-    """
+    """Stieltjes construction of the weighted orthonormal system on [-L, L],
+    L from ``choose_halfwidth``: the grid starts as one ``_PANEL``-node
+    panel per function and doubles until the string equations hold on rows
+    k < count - deg V (at least deg V + 2 functions are built)."""
     if n > MAX_N:
         raise ValueError(f"n capped at {MAX_N} for determinant work")
     if count < 2 or count > n + 4:
         raise ValueError("count must lie in 2..n+4")
     L = choose_halfwidth(V, n, a_hint)
-    # both enough nodes per function and enough nodes per unit length;
-    # small n forces a wide underflow-safe box that must stay resolved
-    m_grid = max(_NODES_PER_FUNCTION * count, _MIN_GRID, int(math.ceil(24.0 * L)))
-    rule = gauss_legendre(m_grid, -L, L)
-    x, w = rule.nodes, rule.weights
-
-    psi = np.zeros((count, m_grid))
-    ra = np.zeros(count)
-    rb = np.zeros(count + 1)
-    base = np.exp(-0.5 * n * V.eval(x))
-    norm0 = math.sqrt(float(np.dot(w, base * base)))
-    psi[0] = base / norm0
-    for k in range(count - 1):
-        ra[k] = float(np.dot(w, x * psi[k] * psi[k]))
-        v = (x - ra[k]) * psi[k]
-        if k >= 1:
-            v = v - rb[k] * psi[k - 1]
-        # Two re-orthogonalization sweeps; the residual after the first one
-        # measures the drift the raw recurrence accumulated.
-        drift = 0.0
-        for sweep in range(2):
-            coef = (w * v) @ psi[:k + 1].T
-            if sweep == 0:
-                drift = float(np.max(np.abs(coef)))
-            v = v - coef @ psi[:k + 1]
-        if drift > 1e-8 * max(1.0, float(np.sqrt(np.dot(w, v * v)))):
-            raise GridError(f"loss of orthogonality at degree {k + 1}: drift {drift:.2e}")
-        b = math.sqrt(float(np.dot(w, v * v)))
-        if b <= 0:
-            raise GridError(f"degenerate recurrence at degree {k + 1}")
-        rb[k + 1] = b
-        psi[k + 1] = v / b
-    system = OrthoSystem(V=V, n=n, count=count, grid=rule, psi_values=psi,
-                         recur_a=ra, recur_b=rb, _norm0=norm0)
-    defect = system.orthonormality_defect()
-    if defect > 1e-9:
-        raise GridError(f"orthonormality defect {defect:.2e} exceeds tolerance")
-    return system
+    size = max(count, V.degree + 2)
+    t, tw = legendre_reference(_PANEL)
+    for panels in count * 2 ** np.arange(_DOUBLINGS + 1):
+        half = L / panels
+        x = ((2 * np.arange(panels) + 1 - panels)[:, None] * half + half * t).ravel()
+        w = np.tile(half * tw, panels)
+        nv = n * V.eval(x)
+        log_norm0 = 0.5 * (math.log(float(np.dot(w, np.exp(nv.min() - nv)))) - float(nv.min()))
+        ra, rb = [0.0] * size, [0.0] * size
+        _recurrence(V, n, log_norm0, x, ra, rb, w)
+        residual = _string_residual(V, n, ra, rb, size - V.degree)
+        if residual <= _STRING_TOL:
+            return OrthoSystem(V, n, count, QuadratureRule(x, w, (-L, L)), np.array(ra[:count]),
+                               np.array(rb[:count]), log_norm0, residual)
+    raise GridError(f"string equations missed by {residual:.1e} on {x.size} nodes")
 
 
 @dataclass
@@ -145,17 +166,14 @@ class SpikedKernel:
     log_shift: float = 0.0                       # max over the grid of n(a x - V/2)
     gamma_scaled: np.ndarray = field(default=None, repr=False)  # Gamma_i e^{-shift}
 
-    def tilt_scaled(self, x: np.ndarray) -> np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        expo = self.ortho.n * (self.a * xs - 0.5 * self.ortho.V.eval(xs))
-        return np.exp(expo - self.log_shift)
-
     def tilde_psi_at(self, x: np.ndarray, px: np.ndarray) -> np.ndarray:
-        """Corrected function at x, given ``px = ortho.psi_at(x)``."""
+        """Corrected function at x, given the rows ``px`` of ``ortho.psi_at(x)``
+        up to n - j."""
         nj = self.ortho.n - self.j
         if self.a == 0.0:
             return px[nj]
-        return (self.tilt_scaled(x) - self.gamma_scaled[:nj] @ px[:nj]) / self.gamma_scaled[nj]
+        tilt = np.exp(self.ortho.n * (self.a * x - 0.5 * self.ortho.V.eval(x)) - self.log_shift)
+        return (tilt - self.gamma_scaled[:nj] @ px[:nj]) / self.gamma_scaled[nj]
 
 
 def build_spiked(ortho: OrthoSystem, a: float, j: int = 1) -> SpikedKernel:
@@ -187,7 +205,7 @@ def build_spiked(ortho: OrthoSystem, a: float, j: int = 1) -> SpikedKernel:
     total_mass = float(np.dot(w, np.abs(tilt)))
     if edge_mass > 1e-10 * total_mass:
         raise GridError("tilted integrand has mass at the grid boundary; enlarge L")
-    gamma_scaled = (ortho.psi_values[:nj + 1] * (w * tilt)) @ np.ones_like(w)
+    gamma_scaled = ortho.psi_at(x)[:nj + 1] @ (w * tilt)
     if gamma_scaled[nj] == 0.0:
         raise GridError("degenerate projection of the tilt on the top function")
     return SpikedKernel(ortho=ortho, a=a, j=j, log_shift=shift, gamma_scaled=gamma_scaled)
@@ -215,12 +233,19 @@ def gap_probability_raw(sk: SpikedKernel, intervals, factored: bool = True) -> f
         return 1.0
     rules = [gauss_legendre(_GAP_NODES, lo, hi) for lo, hi in segs]
     xs = np.concatenate([r.nodes for r in rules])
-    ws = np.concatenate([r.weights for r in rules])
-    sw = np.sqrt(ws)
+    sw = np.sqrt(np.concatenate([r.weights for r in rules]))
     nj = sk.ortho.n - sk.j
-    px = sk.ortho.psi_at(xs)
-    K = px[:nj].T @ px[:nj]
+    u, s = sk.ortho.scaled_at(xs)
+    e = np.exp(s)
+    px = u[:nj + 1] * e
     tpsi = sk.tilde_psi_at(xs, px)
+    # zeroing a node where every sqrt(w) psi lies below _NEGLIGIBLE moves the
+    # determinant by ~_NEGLIGIBLE^2 max sqrt(w) psi~ and spares BLAS underflows
+    dead = sw * np.maximum(np.abs(px).max(axis=0), np.abs(tpsi)) < _NEGLIGIBLE
+    sw[dead] = 0.0
+    u[:nj, dead] = 0.0
+    esw = sw * e                        # sw K sw from u, clear of underflow
+    M = esw[:, None] * (u[:nj].T @ u[:nj]) * esw[None, :]
     if factored:
-        return float(fredholm_det(sw[:, None] * K * sw[None, :], sw * tpsi, sw * px[nj]))
-    return float(fredholm_det(sw[:, None] * (K + np.outer(tpsi, px[nj])) * sw[None, :]))
+        return float(fredholm_det(M, sw * tpsi, sw * px[nj]))
+    return float(fredholm_det(M + np.outer(sw * tpsi, sw * px[nj])))

@@ -31,8 +31,7 @@ Derivatives*, 1973, ch. 4) as scipy's C ``brentq`` implements it, ported line
 for line: it returns the same root after the same function calls, so every
 value here is the one ``scipy.optimize.brentq`` gave.  It is ported because
 importing ``scipy.optimize`` for this one function cost each CLI process
-~0.2 s on top of ``scipy.special`` and ``scipy.linalg``, more than the work of
-most commands.
+~0.2 s, more than the work of most commands.
 """
 
 from __future__ import annotations

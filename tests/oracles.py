@@ -12,6 +12,9 @@ alpha = 0 come from the closed forms of Ferrari and Spohn, determinants of
 the Airy Hankel operator, where the library takes the Airy kernel.  Two
 views of the phase structure that only the tests read, the detachment set
 A_V and the band of tilts with two local maxima of G, are here as well.
+The orthonormal system is checked by its discrete Gram matrix on the build's
+grid and by the string equations, with V'(J) summed from matrix powers
+where the library runs Horner's rule.
 """
 
 import math
@@ -22,6 +25,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import airy
 
 from spectral_edge.equilibrium import EquilibriumData, NotOneCutError
+from spectral_edge.finitemodel import OrthoSystem
 from spectral_edge.potential import Potential, horner
 from spectral_edge.specialfn import ENVELOPE_RADIUS, legendre_reference
 from spectral_edge.transition import _DETACH_TOL, _overlaps, _phi, _rising_runs, scan
@@ -199,3 +203,29 @@ def switch_band(eq: EquilibriumData) -> tuple[float, float] | None:
     of W holds at most one, so the band is the hull of the levels two cross."""
     spans = [(lo, hi) for _, _, lo, hi in _overlaps(_rising_runs(eq))]
     return (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else None
+
+
+def orthonormality_defect(ortho: OrthoSystem) -> float:
+    """Largest entry of |G - I|, G the Gram matrix of ``psi_at`` on the build's grid."""
+    psi = ortho.psi_at(ortho.grid.nodes)
+    gram = (psi * ortho.grid.weights) @ psi.T
+    return float(np.max(np.abs(gram - np.eye(ortho.count))))
+
+
+def string_residual(ortho: OrthoSystem) -> float:
+    """Largest relative residual of the string equations of the weight
+    e^{-n V}, n [V'(J)]_{k,k-1} = k / b_k and [V'(J)]_{kk} = 0 (Freud;
+    Magnus), on the rows k < count - deg V that the count x count Jacobi
+    matrix determines.  The diagonal is taken relative to |V'|(||J||_inf),
+    with the absolute values of the coefficients of V'."""
+    m, n, V = ortho.count, ortho.n, ortho.V
+    J = (np.diag(ortho.recur_a[:m]) + np.diag(ortho.recur_b[1:m], 1)
+         + np.diag(ortho.recur_b[1:m], -1))
+    dv = V.deriv_coefficients(1)
+    D = sum(c * np.linalg.matrix_power(J, i) for i, c in enumerate(dv))
+    rows = max(m - V.degree, 0)
+    k = np.arange(1, rows)
+    off = np.abs(n * ortho.recur_b[k] * D[k, k - 1] / k - 1.0)
+    scale = sum(abs(c) * np.abs(J).sum(axis=1).max() ** i for i, c in enumerate(dv))
+    diag = np.abs(np.diag(D)[:rows]) / scale
+    return float(max(off.max(initial=0.0), diag.max(initial=0.0)))

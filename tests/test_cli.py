@@ -16,7 +16,7 @@ from spectral_edge import finitemodel, limitlaws, transition
 from spectral_edge.cli import _finite, build_parser, main
 from spectral_edge.equilibrium import density_psi, solve_support
 from spectral_edge.limitlaws import f0
-from spectral_edge.potential import load_potential
+from spectral_edge.potential import GUE, load_potential
 from conftest import two_shelf_potential
 
 
@@ -248,6 +248,17 @@ class TestGapCommand:
         assert report["rows"][1][2] == 1.0
         err = capsys.readouterr().err
         assert "1 of 5" in err and "clamped" in err and "1.25" in err
+
+    def test_build_diagnostics_recorded(self, tmp_path):
+        # the string-equation residual that sized the grid, and the grid's size
+        out = tmp_path / "gap"
+        assert run(["gap", "--potential", "gue", "--a", "0.5", "--n", "20", "--T-steps", "3",
+                    "--out", str(out)]) == 0
+        report = json.loads((out / "gap.json").read_text())
+        assert 0.0 <= report["string_residual"] <= 1e-12
+        ortho = finitemodel.build_ortho(GUE, 20, 21, a_hint=0.5)
+        assert report["grid_nodes"] == ortho.grid.nodes.size
+        assert report["grid_nodes"] % finitemodel._PANEL == 0
 
     def test_size_cap_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "gap"
@@ -661,7 +672,7 @@ def _fresh_process(code: str, *args, cwd) -> list:
 
 class TestImportBudget:
     """Each subcommand loads only the modules it runs: ``montecarlo`` loads
-    no scipy by either method, ``compare`` against a Gauss law no
+    no scipy by either method, ``law``, ``gap`` and ``compare`` load no
     scipy.linalg, and no command loads scipy.optimize."""
 
     def _cli(self, tmp_path, *argv):
@@ -695,8 +706,6 @@ class TestImportBudget:
         assert json.loads((tmp_path / "cmp" / "compare.json").read_text())["ks_pass"]
 
     def test_gauss_compare_loads_no_linalg(self, tmp_path):
-        # F0 and F1 laws evaluate through Gauss-Legendre rules, built by
-        # LAPACK's dsterf; a Gauss law needs none
         for argv in (["law", "--potential", "gue", "--a", "2", "--n", "10", "--T-steps", "3",
                       "--out", "law"],
                      ["montecarlo", "--potential", "gue", "--a", "2", "--n", "10", "--reps", "20",
@@ -706,6 +715,20 @@ class TestImportBudget:
                                "--ks-tol", "1", "--out", "cmp")
         assert code == 0
         assert [m for m in mods if m.startswith("scipy.linalg")] == []
+
+    def test_f0_law_gap_and_compare_load_no_linalg(self, tmp_path):
+        # Gauss-Legendre rules come from numpy's leggauss, the orthonormal
+        # build from the string equations: no LAPACK from scipy
+        for argv in (["law", "--potential", "gue", "--a", "0", "--n", "20", "--T-steps", "3",
+                      "--out", "law"],
+                     ["gap", "--potential", "gue", "--a", "0", "--n", "20", "--T-steps", "3",
+                      "--out", "gap"],
+                     ["compare", "--law-dir", "law", "--gap-dir", "gap", "--gap-tol", "1",
+                      "--out", "cmp"]):
+            code, mods = self._cli(tmp_path, *argv)
+            assert code == 0, argv
+            assert [m for m in mods if m.startswith("scipy.linalg")] == [], argv
+        assert json.loads((tmp_path / "law" / "law.json").read_text())["kind"] == "F0"
 
     def test_exit_codes_in_a_fresh_process(self, tmp_path):
         # not regular: input error; no one-cut measure: numeric failure

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spectral_edge import finitemodel
 from spectral_edge.finitemodel import (
     GridError,
     build_ortho,
@@ -11,8 +12,12 @@ from spectral_edge.finitemodel import (
     gap_probability_raw,
 )
 from spectral_edge.limitlaws import f0
-from spectral_edge.potential import GUE
+from spectral_edge.potential import GUE, QUARTIC, eynard_potential
+from spectral_edge.sampler import sample_gaussian_spiked
 from spectral_edge.specialfn import airy_ai_pair
+
+from conftest import two_shelf_potential
+from oracles import orthonormality_defect, string_residual
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +30,11 @@ def ortho16():
     return build_ortho(GUE, 16, 17, a_hint=0.5)
 
 
+def grid_psi(ortho):
+    """The functions on the grid the build used."""
+    return ortho.psi_at(ortho.grid.nodes)
+
+
 class TestOrthoSystem:
     def test_hermite_recurrence_oracle(self, ortho20):
         # under the Gaussian weight the off-diagonal recurrence coefficients
@@ -34,19 +44,32 @@ class TestOrthoSystem:
 
     def test_orthogonality(self, ortho20):
         w = ortho20.grid.weights
-        assert abs(np.dot(w, ortho20.psi_values[3] * ortho20.psi_values[5])) < 1e-10
+        psi = grid_psi(ortho20)
+        assert abs(np.dot(w, psi[3] * psi[5])) < 1e-10
 
     def test_normalization(self, ortho20):
         w = ortho20.grid.weights
-        assert abs(np.dot(w, ortho20.psi_values[7] ** 2) - 1.0) < 1e-10
+        assert abs(np.dot(w, grid_psi(ortho20)[7] ** 2) - 1.0) < 1e-10
 
     def test_orthonormality_defect(self, ortho20):
-        assert ortho20.orthonormality_defect() < 1e-9
+        assert orthonormality_defect(ortho20) < 1e-9
 
     def test_psi_at_matches_grid(self, ortho20):
-        xs = ortho20.grid.nodes[100:103]
-        direct = ortho20.psi_at(xs)
-        assert np.max(np.abs(direct - ortho20.psi_values[:, 100:103])) < 1e-9
+        # the recurrence coefficients taken back from psi_at on the grid,
+        # a_k = <x psi_k, psi_k> and b_{k+1} = <x psi_{k+1}, psi_k>
+        x, w = ortho20.grid.nodes, ortho20.grid.weights
+        psi = grid_psi(ortho20)
+        a = (psi * psi) @ (w * x)
+        b = np.sum(psi[1:] * psi[:-1] * (w * x), axis=1)
+        assert np.max(np.abs(a - ortho20.recur_a)) < 1e-12
+        assert np.max(np.abs(b - ortho20.recur_b[1:21])) < 1e-12
+
+    def test_gue_recurrence_with_a_wide_box(self):
+        # a_hint = 4 widens the box to L = 22.8: the grid must still resolve
+        # every function, so b_k = sqrt(k/n) holds to rounding
+        ortho = build_ortho(GUE, 96, 97, a_hint=4.0)
+        expected = np.sqrt(np.arange(1, 97) / 96.0)
+        assert np.max(np.abs(ortho.recur_b[1:97] - expected)) < 1e-12
 
     def test_halfwidth_covers_weight(self):
         L = choose_halfwidth(GUE, 20)
@@ -55,6 +78,51 @@ class TestOrthoSystem:
     def test_n_cap(self):
         with pytest.raises(ValueError):
             build_ortho(GUE, 200, 20)
+
+
+POTENTIALS = {"gue": GUE, "quartic": QUARTIC, "eynard(3,0.02)": eynard_potential(3.0, 0.02),
+              "two-shelf": two_shelf_potential()}
+
+
+class TestStringEquations:
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    def test_residual(self, name, n):
+        ortho = build_ortho(POTENTIALS[name], n, n + 1)
+        assert string_residual(ortho) <= 1e-12
+        assert ortho.string_residual <= 1e-12
+
+    def test_unresolved_grid_is_grid_error(self, monkeypatch):
+        # GUE at n = 96 with a_hint = 4 needs the start grid doubled
+        monkeypatch.setattr(finitemodel, "_DOUBLINGS", 0)
+        with pytest.raises(GridError, match="string equations"):
+            build_ortho(GUE, 96, 97, a_hint=4.0)
+
+
+class TestMendedCurves:
+    def test_two_shelf_switch_at_n128(self, shelf_pot):
+        # at the switch a0 the detached eigenvalue sits near x = 7.8, where
+        # the weight e^{-nV/2} is subnormal (nV/2 = 737); the curve must not
+        # depend on how many functions the system carries
+        a0 = 1.68746
+        expected = np.array([0.4111, 0.7639, 0.9996])
+        for count in (129, 132):
+            sk = build_spiked(build_ortho(shelf_pot, 128, count, a_hint=a0), a0, 1)
+            got = np.array([gap_probability_raw(sk, [(t, np.inf)]) for t in (5.6, 7.0, 7.9)])
+            assert np.max(np.abs(got - expected)) < 5e-4, (count, got)
+
+    def test_gue_detached_at_a4_against_draws(self):
+        # x0 = a + 1/a; a_hint = 4 widens the box to L = 22.8 (see
+        # test_gue_recurrence_with_a_wide_box)
+        n, a, reps = 96, 4.0, 20000
+        x0 = a + 1.0 / a
+        sk = build_spiked(build_ortho(GUE, n, n + 1, a_hint=a), a, 1)
+        lam = sample_gaussian_spiked(n, a, reps, seed=960).lambda_max
+        for thr in (x0 - 0.2, x0, x0 + 0.2):
+            exact = gap_probability_raw(sk, [(thr, np.inf)])
+            emp = float(np.mean(lam < thr))
+            se = math.sqrt(emp * (1.0 - emp) / reps)
+            assert abs(exact - emp) <= 4.0 * se, (thr, exact, emp, se)
 
 
 def cd_kernel(ortho, j, x, y):
@@ -116,29 +184,32 @@ class TestSpikedKernel:
     def test_tilt_projection_sign_linearity(self, ortho20):
         w = ortho20.grid.weights
         tilt = np.exp(20.0 * (0.5 * ortho20.grid.nodes - 0.5 * GUE.eval(ortho20.grid.nodes)))
-        plus = np.dot(w, tilt * ortho20.psi_values[19])
-        minus = np.dot(w, tilt * (-ortho20.psi_values[19]))
+        psi19 = grid_psi(ortho20)[19]
+        plus = np.dot(w, tilt * psi19)
+        minus = np.dot(w, tilt * (-psi19))
         assert plus == -minus
 
     def test_zero_spike_projection_two_orders(self, ortho20):
         w = ortho20.grid.weights
         root = np.exp(-10.0 * GUE.eval(ortho20.grid.nodes))
-        one_way = float(np.dot(w * root, ortho20.psi_values[19]))
-        other = float(np.dot(w, root * ortho20.psi_values[19]))
+        psi19 = grid_psi(ortho20)[19]
+        one_way = float(np.dot(w * root, psi19))
+        other = float(np.dot(w, root * psi19))
         assert abs(one_way - other) < 1e-12
         assert abs(one_way) < 1e-10
 
     def test_characterizing_inner_products(self, ortho16):
         sk = build_spiked(ortho16, 0.5, 1)
         w = ortho16.grid.weights
-        tpsi = sk.tilde_psi_at(ortho16.grid.nodes, ortho16.psi_values)
+        psi = grid_psi(ortho16)
+        tpsi = sk.tilde_psi_at(ortho16.grid.nodes, psi)
         nj = 15
         for k in range(nj - 3, nj):
-            val = np.dot(w, tpsi * ortho16.psi_values[k])
+            val = np.dot(w, tpsi * psi[k])
             assert abs(val) < 1e-7
-        assert abs(np.dot(w, tpsi * ortho16.psi_values[nj]) - 1.0) < 1e-7
+        assert abs(np.dot(w, tpsi * psi[nj]) - 1.0) < 1e-7
         for k in (0, 5, 9):
-            assert abs(np.dot(w, tpsi * ortho16.psi_values[k])) < 1e-7
+            assert abs(np.dot(w, tpsi * psi[k])) < 1e-7
 
     @pytest.mark.parametrize("j", [1, 2])
     def test_projection_algebra(self, ortho16, j):
@@ -154,8 +225,9 @@ class TestSpikedKernel:
 
     def test_zero_spike_degenerates_to_unspiked(self, ortho16):
         sk = build_spiked(ortho16, 0.0, 1)
-        tpsi = sk.tilde_psi_at(ortho16.grid.nodes, ortho16.psi_values)
-        assert np.max(np.abs(tpsi - ortho16.psi_values[15])) == 0.0
+        psi = grid_psi(ortho16)
+        tpsi = sk.tilde_psi_at(ortho16.grid.nodes, psi)
+        assert np.max(np.abs(tpsi - psi[15])) == 0.0
 
     def test_tilt_too_strong_rejected(self, ortho16):
         with pytest.raises(GridError):

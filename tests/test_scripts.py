@@ -40,9 +40,10 @@ def test_script_runs(tmp_path, script, args, header):
 
 
 def test_gap_script_reports_raw_determinants(tmp_path):
-    # at n = 128, a = 0.5 three raw values fall below 0 (-0.00034 at 1.8)
+    # at n = 112, a = 0.2 three raw values fall below 0 (-0.00024 at 1.8):
+    # the subcritical spike's projection on the top function is below rounding
     stdout, out = _run(tmp_path, "gap_vs_montecarlo.py",
-                       ["--n", "128", "--a", "0.5", "--reps", "200"])
+                       ["--n", "112", "--a", "0.2", "--reps", "200"])
     rows = list(csv.DictReader(out.open()))
     raw = [float(r["gap_determinant_raw"]) for r in rows]
     clamped = [float(r["gap_determinant"]) for r in rows]

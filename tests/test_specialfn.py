@@ -3,7 +3,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import airy
@@ -18,7 +17,7 @@ from spectral_edge.specialfn import (
     legendre_reference,
     normal_cdf,
 )
-from spectral_edge.finitemodel import build_ortho
+from spectral_edge import equilibrium, finitemodel, limitlaws, specialfn
 from spectral_edge.potential import GUE
 
 from conftest import simpson_adaptive
@@ -245,16 +244,6 @@ class TestLegendreReference:
         assert x.tobytes() == ref_x.tobytes()
         assert w.tobytes() == ref_w.tobytes()
 
-    def test_large_rule_without_leggauss(self):
-        # m = 4128, twice the largest grid of build_ortho, checked against
-        # closed forms rather than the O(m^3) leggauss
-        x, w = legendre_reference(4128)
-        assert np.array_equal(x, -x[::-1])
-        assert np.array_equal(w, w[::-1])
-        assert abs(w.sum() - 2.0) < 1e-13
-        assert abs(np.dot(w, np.cos(50.0 * x)) - 2.0 * math.sin(50.0) / 50.0) <= 1e-12
-        gauss_legendre(4128, -1.0, 1.0).validate()
-
     def test_read_only(self):
         x, w = legendre_reference(12)
         with pytest.raises(ValueError):
@@ -262,20 +251,32 @@ class TestLegendreReference:
         with pytest.raises(ValueError):
             w[:] = 1.0
 
-    def test_one_build_per_size(self, monkeypatch):
+    def test_built_once_per_size_from_leggauss(self, monkeypatch):
+        # the sizes the package's rules take, each from numpy's leggauss,
+        # once, read-only; an orthonormal build, a gap determinant, a
+        # support solve and an F1 value build no other
+        sizes = sorted({limitlaws._PANEL_NODES, limitlaws.DEFAULT_NODES, finitemodel._PANEL,
+                        finitemodel._GAP_NODES, equilibrium._THETA_NODES})
         calls = []
-        real = scipy.linalg.lapack.dsterf
+        real = specialfn.leggauss
 
-        def counting_dsterf(d, e):
-            calls.append(d.size)
-            return real(d, e)
+        def counting_leggauss(m):
+            calls.append(m)
+            return real(m)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", counting_dsterf)
+        monkeypatch.setattr(specialfn, "leggauss", counting_leggauss)
         legendre_reference.cache_clear()
         try:
-            first = build_ortho(GUE, 16, 17)
-            second = build_ortho(GUE, 16, 17)
+            sk = finitemodel.build_spiked(finitemodel.build_ortho(GUE, 128, 129, a_hint=1.5), 1.5, 1)
+            finitemodel.gap_probability_raw(sk, [(2.0, np.inf)])
+            equilibrium.solve_support(GUE)
+            limitlaws.f1(0.0, 0.5)
+            for m in sizes:
+                x, w = legendre_reference(m)
+                ref_x, ref_w = np.polynomial.legendre.leggauss(m)
+                assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+                assert not x.flags.writeable and not w.flags.writeable
         finally:
             legendre_reference.cache_clear()
-        assert calls == [first.grid.nodes.size]
-        assert np.array_equal(first.psi_values, second.psi_values)
+        assert sorted(calls) == sizes
+        assert max(sizes) == 480
