@@ -10,9 +10,8 @@ malformed file into an input error naming it.  Exit codes: 0 success,
 2 input error, 3 numeric failure.
 
 Each subcommand imports the modules it calls, so that a process loads only
-what its command runs: ``montecarlo`` loads no scipy for a builtin potential
-(an ``eynard(...)`` spec loads ``scipy.integrate`` to place its companion
-root), and no command loads ``scipy.optimize``.
+what its command runs: ``montecarlo`` loads no scipy, and no command loads
+``scipy.optimize``.
 """
 
 from __future__ import annotations

@@ -117,27 +117,29 @@ QUARTIC = Potential((0.0, 0.0, 0.0, 0.0, 0.25), label="quartic")
 def eynard_companion_root(e_bar: float) -> float:
     """Root e~ of the moment condition int_2^e_bar (x-e_bar)(x-e~) sqrt(x^2-4) dx = 0.
 
-    Solved by bisection to 1e-12; the bracket exists because the integral is
-    strictly increasing in e~ and changes sign on (2 - 10*e_bar, e_bar).
+    The condition is linear in e~, so e~ = e_bar - P/Q in closed form, with
+    P = int (e_bar-x)^2 sqrt(x^2-4) dx and Q = int (e_bar-x) sqrt(x^2-4) dx
+    over [2, e_bar].  With x = 2 cosh u and U = acosh(e_bar/2),
+
+        Q = sinh(3U)/3 + 3 sinh U - 4U cosh U
+          = sum_{k>=2} (9^k - 8k - 1) U^(2k+1) / (2k+1)!,
+        P = sinh(4U)/6 + 14 sinh(2U)/3 - 4U cosh(2U) - 6U
+          = (2/3) sum_{k>=3} 4^k (4^k - 12k + 8) U^(2k+1) / (2k+1)!.
+
+    The hyperbolic forms (like the moments I_0, I_1, I_2 of x^k sqrt(x^2-4)
+    they come from) cancel as e_bar -> 2, where Q = O(U^5): at e_bar =
+    2.0001 they lose ten digits.  The Taylor series have positive terms only,
+    and 23 of them hold e~ within 1e-15 of a 40-digit evaluation on all of
+    (2, 6].
     """
-    # imported here so that importing the package does not load scipy.integrate
-    from scipy.integrate import quad
-
-    def moment(et: float) -> float:
-        val, _ = quad(lambda x: (x - e_bar) * (x - et) * np.sqrt(x * x - 4.0), 2.0, e_bar)
-        return val
-
-    lo, hi = 2.0 - 10.0 * e_bar, e_bar
-    flo, fhi = moment(lo), moment(hi)
-    if flo * fhi > 0:
-        raise ValueError("companion-root equation is not bracketed")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if moment(mid) * fhi <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    u = math.acosh(0.5 * e_bar)
+    p = q = 0.0
+    term = u ** 5 / 120.0           # U^(2k+1) / (2k+1)! at k = 2
+    for k in range(2, 25):
+        q += (9.0 ** k - 8 * k - 1) * term
+        p += 4.0 ** k * (4.0 ** k - 12 * k + 8) * term      # zero at k = 2
+        term *= u * u / ((2 * k + 2) * (2 * k + 3))
+    return e_bar - 2.0 * p / (3.0 * q)
 
 
 def eynard_potential(e_bar: float, eps: float) -> Potential:

@@ -8,10 +8,12 @@ exponential tilt over the eigenvalues.  The divided difference is the
 integral of exp(n a sum q_i lambda_i) over the weights q_i = |U_1i|^2 of the
 first basis vector on the eigenvectors, which are flat-Dirichlet on the
 simplex (the rank-one HCIZ identity).  The chain samples (lambda, q) jointly
-from the integrand: a single-site eigenvalue move costs O(n) and a move on
-a pair of weights at fixed sum is an exact draw from its truncated
-exponential conditional, so a sweep costs O(n^2) and never forms the
-divided difference.
+from the integrand: a move on a pair of weights at fixed sum is an exact
+draw from its truncated exponential conditional, and a pass of single-site
+eigenvalue moves is one Metropolis step per site in turn.  The pass reads
+its repulsion changes from two n x n tables of log distances built up
+front, so its only per-site work is a scalar comparison (``_lambda_pass``):
+a sweep costs O(n^2) and never forms the divided difference.
 """
 
 from __future__ import annotations
@@ -194,16 +196,77 @@ def truncated_exp_draw(s, r, u):
     return np.where(r > 0, s - s * frac, s * frac)
 
 
+def _log_gaps(lams: np.ndarray) -> np.ndarray:
+    """log|lambda_i - lambda_j|, with zeros on the diagonal."""
+    return np.log(np.abs(np.subtract.outer(lams, lams)) + np.eye(lams.size))
+
+
+def _lambda_pass(lams, logs, props, thresholds) -> np.ndarray:
+    """One pass of single-site Metropolis moves over sites 0 to n - 1 in turn.
+
+    Site i moves to props[i] when twice its repulsion change, the sum over
+    k of log|props[i] - lambda_k| - log|lambda_i - lambda_k| at the values
+    of that moment, exceeds thresholds[i], and never to within ``TIE_GAP``
+    of another value.  ``lams`` and its ``_log_gaps`` table ``logs`` are
+    updated in place; returns the mask of moved sites.
+
+    The tables log|x_i - lambda_k| and log|x_i - x_k|, from the proposals x
+    and the pass-start values, are built once.  Each site's change against
+    the pass-start state is a row sum; a move of site i adds row i of the
+    correction table, (log|x_k - x_i| - log|x_k - lambda_i|) - (log|x_i -
+    lambda_k| - log|lambda_k - lambda_i|), to the running change of every
+    later site k.  The loop then compares Python floats against the
+    thresholds halved, which is exact.  Distances are floored at
+    ``TIE_GAP`` before the log; a site whose proposal lies within
+    ``TIE_GAP`` of a pass-start value or of another proposal, where a
+    floored entry could enter its sum, takes the check against the current
+    values instead.  ``logs`` is rebuilt once, when a site moved: the same
+    bits as updating its rows, since |lambda_i - lambda_k| is exactly
+    symmetric.
+    """
+    n = lams.size
+    gap_xl = np.abs(np.subtract.outer(props, lams))
+    gap_xx = np.abs(np.subtract.outer(props, props))
+    np.fill_diagonal(gap_xl, 1.0)
+    np.fill_diagonal(gap_xx, 1.0)
+    tie = (np.minimum(gap_xl, gap_xx).min(axis=1) < TIE_GAP).tolist()
+    log_xl = np.log(np.maximum(gap_xl, TIE_GAP))
+    log_xx = np.log(np.maximum(gap_xx, TIE_GAP))
+    change = np.add.reduce(log_xl - logs, axis=1)
+    correction = log_xx - log_xl.T - log_xl + logs
+    half = (0.5 * thresholds).tolist()
+    moved = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if tie[i]:
+            dist = np.abs(lams - props[i])
+            dist[i] = 1.0
+            if np.minimum.reduce(dist) < TIE_GAP:
+                continue
+            own = np.abs(lams - lams[i])
+            own[i] = 1.0
+            if not np.add.reduce(np.log(dist) - np.log(own)) > half[i]:
+                continue
+        elif not change.item(i) > half[i]:
+            continue
+        lams[i] = props[i]
+        moved[i] = True
+        change += correction[i]
+    if moved.any():
+        logs[...] = _log_gaps(lams)
+    return moved
+
+
 def mcmc_sample(V: Potential, n: int, a: float, cfg: McmcConfig) -> EdgeSample:
     """Metropolis-within-Gibbs over the eigenvalues and the spike weights.
 
     The target is the squared Vandermonde times exp(-n sum V(lambda_i) +
     n a sum q_i lambda_i) with q flat on the simplex; its lambda marginal is
     the rank-one eigenvalue density.  A sweep runs ``LAMBDA_PASSES`` passes
-    of single-site Gaussian moves of the eigenvalues, each accepted on the
-    O(n) change of the log density, then (when a != 0) ``PAIR_PASSES``
-    random pairings of the weights, each pair redrawn from its exact
-    conditional at fixed sum (``truncated_exp_draw``).
+    of single-site Gaussian moves of the eigenvalues, then (when a != 0)
+    ``PAIR_PASSES`` random pairings of the weights, each pair redrawn from
+    its exact conditional at fixed sum (``truncated_exp_draw``).  Each
+    eigenvalue pass is ``_lambda_pass``, with the confinement and tilt
+    changes folded into its thresholds.
 
     The proposal width adapts toward 0.3-0.5 acceptance during burn-in and
     is frozen afterwards, preserving detailed balance for the retained
@@ -215,8 +278,7 @@ def mcmc_sample(V: Potential, n: int, a: float, cfg: McmcConfig) -> EdgeSample:
     lams = np.sort(rng.normal(scale=0.7, size=n))
     q = rng.dirichlet(np.ones(n))
     na = n * a
-    # log|lambda_i - lambda_j|, with zeros on the diagonal
-    logs = np.log(np.abs(np.subtract.outer(lams, lams)) + np.eye(n))
+    logs = _log_gaps(lams)
     v_lams = V.eval(lams)
     half = n // 2
     scale = PROPOSAL_SCALE
@@ -229,22 +291,14 @@ def mcmc_sample(V: Potential, n: int, a: float, cfg: McmcConfig) -> EdgeSample:
         for _ in range(LAMBDA_PASSES):
             # A site keeps its value until its own move, so the confinement
             # and tilt terms of the whole pass are computed up front; only
-            # the repulsion row depends on the moves made before it.
+            # the repulsion change depends on the moves made before it.
             props = lams + scale * rng.normal(size=n)
             v_props = V.eval(props)
             local = n * (v_lams - v_props) + na * q * (props - lams)
             thresholds = np.log(rng.uniform(size=n)) - local
-            for i, (x, thr) in enumerate(zip(props.tolist(), thresholds.tolist())):
-                dist = np.abs(lams - x)
-                dist[i] = 1.0
-                row = np.log(dist)
-                if (2.0 * np.add.reduce(row - logs[i]) > thr
-                        and np.minimum.reduce(dist) >= TIE_GAP):
-                    lams[i] = x
-                    v_lams[i] = v_props[i]
-                    logs[i] = row
-                    logs[:, i] = row
-                    accepted += 1
+            moved = _lambda_pass(lams, logs, props, thresholds)
+            np.copyto(v_lams, v_props, where=moved)
+            accepted += int(np.count_nonzero(moved))
         if na != 0.0:
             for _ in range(PAIR_PASSES):
                 perm = rng.permutation(n)

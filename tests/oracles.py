@@ -14,7 +14,9 @@ views of the phase structure that only the tests read, the detachment set
 A_V and the band of tilts with two local maxima of G, are here as well.
 The orthonormal system is checked by its discrete Gram matrix on the build's
 grid and by the string equations, with V'(J) summed from matrix powers
-where the library runs Horner's rule.
+where the library runs Horner's rule.  The Metropolis eigenvalue pass is
+here one site at a time, each repulsion change summed against the current
+values, where the library reads it from tables built once per pass.
 """
 
 import math
@@ -27,6 +29,7 @@ from scipy.special import airy
 from spectral_edge.equilibrium import EquilibriumData, NotOneCutError
 from spectral_edge.finitemodel import OrthoSystem
 from spectral_edge.potential import Potential, horner
+from spectral_edge.sampler import TIE_GAP
 from spectral_edge.specialfn import ENVELOPE_RADIUS, legendre_reference
 from spectral_edge.transition import _DETACH_TOL, _overlaps, _phi, _rising_runs, scan
 
@@ -229,3 +232,21 @@ def string_residual(ortho: OrthoSystem) -> float:
     scale = sum(abs(c) * np.abs(J).sum(axis=1).max() ** i for i, c in enumerate(dv))
     diag = np.abs(np.diag(D)[:rows]) / scale
     return float(max(off.max(initial=0.0), diag.max(initial=0.0)))
+
+
+def lambda_pass_one_site_at_a_time(lams, logs, props, thresholds) -> np.ndarray:
+    """``sampler._lambda_pass`` site by site: each site's repulsion change is
+    summed against the current values, and an accepted move rewrites its row
+    and column of ``logs``.  Same arguments, in-place updates and result."""
+    moved = np.zeros(lams.size, dtype=bool)
+    for i, (x, thr) in enumerate(zip(props.tolist(), thresholds.tolist())):
+        dist = np.abs(lams - x)
+        dist[i] = 1.0
+        row = np.log(dist)
+        if (2.0 * np.add.reduce(row - logs[i]) > thr
+                and np.minimum.reduce(dist) >= TIE_GAP):
+            lams[i] = x
+            logs[i] = row
+            logs[:, i] = row
+            moved[i] = True
+    return moved

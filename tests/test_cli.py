@@ -672,8 +672,9 @@ def _fresh_process(code: str, *args, cwd) -> list:
 
 class TestImportBudget:
     """Each subcommand loads only the modules it runs: ``montecarlo`` loads
-    no scipy by either method, ``law``, ``gap`` and ``compare`` load no
-    scipy.linalg, and no command loads scipy.optimize."""
+    no scipy by either method, for a builtin or an eynard potential, ``law``,
+    ``gap`` and ``compare`` load no scipy.linalg, and no command loads
+    scipy.optimize."""
 
     def _cli(self, tmp_path, *argv):
         return _fresh_process(_PROBE, json.dumps(argv), cwd=tmp_path)
@@ -683,9 +684,20 @@ class TestImportBudget:
                  "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
         assert _fresh_process(probe, cwd=tmp_path) == []
 
+    def test_eynard_potential_loads_no_scipy(self, tmp_path):
+        probe = ("import json, sys; from spectral_edge.potential import load_potential; "
+                 "load_potential('eynard(3,0.02)'); "
+                 "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+        assert _fresh_process(probe, cwd=tmp_path) == []
+
     def test_mcmc_loads_no_scipy(self, tmp_path):
         assert self._cli(tmp_path, "montecarlo", "--potential", "gue", "--method", "mcmc",
                          "--a", "0.5", "--n", "4", "--reps", "10", "--out", "mc") == [0, []]
+
+    def test_eynard_mcmc_loads_no_scipy(self, tmp_path):
+        assert self._cli(tmp_path, "montecarlo", "--potential", "eynard(3,0.02)",
+                         "--method", "mcmc", "--a", "0.3", "--n", "4", "--reps", "10",
+                         "--out", "mc") == [0, []]
 
     def test_direct_montecarlo_loads_no_scipy(self, tmp_path):
         assert self._cli(tmp_path, "montecarlo", "--potential", "gue", "--a", "0.5",
@@ -729,6 +741,12 @@ class TestImportBudget:
             assert code == 0, argv
             assert [m for m in mods if m.startswith("scipy.linalg")] == [], argv
         assert json.loads((tmp_path / "law" / "law.json").read_text())["kind"] == "F0"
+
+    def test_eynard_law_loads_no_linalg(self, tmp_path):
+        code, mods = self._cli(tmp_path, "law", "--potential", "eynard(3,0.02)", "--a", "0.3",
+                               "--n", "20", "--T-steps", "3", "--out", "law")
+        assert code == 0
+        assert [m for m in mods if m.startswith(("scipy.linalg", "scipy.optimize"))] == []
 
     def test_exit_codes_in_a_fresh_process(self, tmp_path):
         # not regular: input error; no one-cut measure: numeric failure

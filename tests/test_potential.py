@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,17 @@ class TestEynard:
         den, _ = quad(lambda x: (x - e_bar) * np.sqrt(x * x - 4.0), 2.0, e_bar)
         oracle = num / den
         assert abs(eynard_companion_root(3.0) - oracle) < 1e-10
+
+    @pytest.mark.parametrize("e_bar", ["2.0001", "2.001", "2.05", "2.5", "3", "4", "6"])
+    def test_companion_root_against_40_digits(self, e_bar):
+        # the same moment ratio by mpmath's quadrature at 40 digits; near
+        # e_bar = 2 both moments vanish like (e_bar - 2)^(5/2)
+        with mpmath.workdps(40):
+            e = mpmath.mpf(e_bar)
+            num = mpmath.quad(lambda x: (x - e) * x * mpmath.sqrt(x * x - 4), [2, e])
+            den = mpmath.quad(lambda x: (x - e) * mpmath.sqrt(x * x - 4), [2, e])
+            oracle = float(num / den)
+        assert abs(eynard_companion_root(float(e_bar)) - oracle) < 1e-12
 
     def test_leading_coefficient_at_zero_eps(self):
         et = eynard_companion_root(3.0)

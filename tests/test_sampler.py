@@ -7,16 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import kolmogi, ndtri
 
+from spectral_edge import sampler
 from spectral_edge.equilibrium import solve_support
 from spectral_edge.finitemodel import build_ortho, build_spiked, gap_probability_raw
 from spectral_edge.limitlaws import LimitLaw, f0, predict_law
-from spectral_edge.potential import GUE, QUARTIC, eynard_potential
+from spectral_edge.potential import GUE, QUARTIC, eynard_potential, load_potential
 from spectral_edge.transition import critical_a
 from conftest import dense_spiked_eigvalsh, edge_sample_400
-from oracles import dd_exp_log, full_tridiagonal_draws, log_density_rank1, top_eigenvalue_lapack
+from oracles import (
+    dd_exp_log,
+    full_tridiagonal_draws,
+    lambda_pass_one_site_at_a_time,
+    log_density_rank1,
+    top_eigenvalue_lapack,
+)
 from spectral_edge.sampler import (
     EdgeSample,
     McmcConfig,
+    _log_gaps,
     _top_eigenvalues,
     ks_distance,
     ks_two_sample,
@@ -304,6 +312,45 @@ class TestMcmc:
             expected = weights[cell] / total
             observed = visits[cell] / steps
             assert abs(observed - expected) < 0.05 * expected + 3.0 / math.sqrt(steps)
+
+
+class TestLambdaPass:
+    """The eigenvalue pass read from log tables against the same pass one
+    site at a time, each repulsion change summed over the current values."""
+
+    @pytest.mark.parametrize("potential", ["gue", "quartic", "eynard(3,0.02)"])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_chains_are_byte_identical(self, monkeypatch, potential, n):
+        V = load_potential(potential)
+        for a in (0.0, 0.45, 1.5):
+            cfg = McmcConfig(steps=300, burn_in=100, seed=n + 7)
+            tables = mcmc_sample(V, n, a, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(sampler, "_lambda_pass", lambda_pass_one_site_at_a_time)
+                one_at_a_time = mcmc_sample(V, n, a, cfg)
+            assert tables.lambda_max.tobytes() == one_at_a_time.lambda_max.tobytes(), a
+            assert tables.acceptance == one_at_a_time.acceptance, a
+
+    def test_ties_take_the_exact_check(self):
+        n = 12
+        rng = np.random.Generator(np.random.Philox(key=5))
+        lams = np.sort(rng.normal(size=n))
+        props = lams + 0.3 * rng.normal(size=n)
+        thresholds = np.log(rng.uniform(size=n)) + rng.normal(size=n)
+        props[3] = lams[7] + 1e-13      # near a site that has not moved yet
+        props[5] = lams[2]              # a pass-start value, left by a move
+        props[9] = props[10] + 5e-14    # two proposals within TIE_GAP
+        thresholds[[2, 3, 5, 9, 10]] = -200.0   # far below a floored log
+        states = [(lams.copy(), _log_gaps(lams)) for _ in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moved = sampler._lambda_pass(*states[0], props, thresholds)
+        expected = lambda_pass_one_site_at_a_time(*states[1], props, thresholds)
+        assert moved.tolist() == expected.tolist()
+        assert moved[[2, 5, 9]].all() and not moved[[3, 10]].any()
+        assert not moved.all() and moved.sum() > 5
+        for got, want in zip(*states):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSpikeWeightMove:

@@ -2,11 +2,14 @@
 
 import csv
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from spectral_edge import finitemodel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,14 +42,28 @@ def test_script_runs(tmp_path, script, args, header):
     assert len(rows) > 1
 
 
-def test_gap_script_reports_raw_determinants(tmp_path):
-    # at n = 112, a = 0.2 three raw values fall below 0 (-0.00024 at 1.8):
-    # the subcritical spike's projection on the top function is below rounding
-    stdout, out = _run(tmp_path, "gap_vs_montecarlo.py",
-                       ["--n", "112", "--a", "0.2", "--reps", "200"])
+def test_gap_script_reports_raw_determinants(tmp_path, monkeypatch, capsys):
+    # the script runs in this process with its second determinant replaced
+    # by 1.25, so that one raw value lies outside [0, 1] at any n and a
+    real = finitemodel.gap_probability_raw
+    calls = []
+
+    def one_out_of_range(sk, intervals, *args, **kwargs):
+        calls.append(intervals)
+        raw = real(sk, intervals, *args, **kwargs)
+        return 1.25 if len(calls) == 2 else raw
+
+    monkeypatch.setattr(finitemodel, "gap_probability_raw", one_out_of_range)
+    out = tmp_path / "out.csv"
+    script = ROOT / "scripts" / "gap_vs_montecarlo.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--n", "16", "--a", "0.5",
+                                      "--reps", "200", "--out", str(out)])
+    runpy.run_path(str(script), run_name="__main__")
+    stdout = capsys.readouterr().out
     rows = list(csv.DictReader(out.open()))
     raw = [float(r["gap_determinant_raw"]) for r in rows]
     clamped = [float(r["gap_determinant"]) for r in rows]
+    assert len(calls) == len(rows) and raw[1] == 1.25
     # the clamped column is the raw one cut to [0, 1], to its 12 decimals
     assert all(abs(c - min(max(v, 0.0), 1.0)) < 1e-12 for c, v in zip(clamped, raw))
     outside = sum(not 0.0 <= v <= 1.0 for v in raw)
