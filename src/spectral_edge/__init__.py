@@ -4,7 +4,8 @@ gap probabilities, and Monte Carlo verification.
 
 The package re-exports no names: import them from their modules
 (``spectral_edge.limitlaws``, ``spectral_edge.transition`` and so on), so
-that a program loads only the modules, and the parts of scipy, it uses."""
+that a program loads only the modules it uses.  They need numpy alone: scipy
+is imported only to evaluate the CDF of a GenGauss law."""
 
 import ctypes
 

@@ -10,8 +10,8 @@ malformed file into an input error naming it.  Exit codes: 0 success,
 2 input error, 3 numeric failure.
 
 Each subcommand imports the modules it calls, so that a process loads only
-what its command runs: ``montecarlo`` loads no scipy, and no command loads
-``scipy.optimize``.
+what its command runs.  No command loads scipy, except that ``law`` and
+``compare`` import ``scipy.special`` to evaluate a GenGauss law.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
 """Airy functions, Gaussian CDFs, Gauss-Legendre rules, Fredholm determinants.
 
-Airy values come from ``scipy.special.airy``.  The vectorized kernel
-evaluator :func:`airy_ai_pair` uses it for |x| < 8 only.  From |x| = 8 out
-the recessive asymptotic expansion is accurate to rounding, and one numpy
-pass of it is about ten times faster than scipy on the right tail, where
-the Nystrom windows and the c_alpha panels put many of their nodes; left
-of -8 it is evaluated on the rays e^{+-i pi/3} and combined into Ai(-x).
-Against mpmath the pair is within 4e-14 (Ai) and 3e-13 (Ai') of
-max(1, |value|) on [-50, 120].
+The module needs numpy alone; only :func:`gen_gauss_cdf` imports
+``scipy.special``, when it is called.  The vectorized kernel evaluator
+:func:`airy_ai_pair` reads Ai and Ai' for |x| < 8 from a Taylor table of
+y'' = x y (DLMF 9.2.1), anchored every 0.25 from 8 down to -8 and built once.
+From |x| = 8 out the recessive asymptotic expansion is accurate to rounding,
+and one numpy pass of it is about ten times faster than scipy on the right
+tail, where the Nystrom windows and the c_alpha panels put many of their
+nodes; left of -8 it is evaluated on the rays e^{+-i pi/3} and combined into
+Ai(-x).  Against mpmath the pair is within 4e-14 (Ai) and 3e-13 (Ai') of
+max(1, |value|) on [-50, 120]; on (-8, 8) the table is within 1e-15 (Ai)
+and 2e-15 (Ai') absolute, and 5e-15 relative for x > 0.
 
 Gauss-Legendre rules come from numpy's ``leggauss``, once per size; at the
 package's sizes (at most 480 nodes, ~0.02 s) no rule needs ``scipy.linalg``.
@@ -21,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import airy, erfc, gammaincc
 
 __all__ = [
     "QuadratureRule",
@@ -36,6 +38,11 @@ __all__ = [
 ENVELOPE_RADIUS = 50.0
 
 _ASYMPTOTIC_RADIUS = 8.0
+# Anchor spacing and terms per anchor of the Taylor table inside the radius.
+_STEP = 0.25
+_TERMS = 18
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 class AiryDomainError(ValueError):
@@ -56,6 +63,36 @@ def _asym_pair_vec(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pref * s_u, -(z ** 0.25) * np.exp(-zeta) / (2.0 * math.sqrt(math.pi)) * s_v
 
 
+def _horner_pair(c, t):
+    # sum_n c[n] t^n and its derivative in t, in one pass from the top term
+    p, dp = c[-1], 0.0
+    for j in range(len(c) - 2, -1, -1):
+        dp = dp * t + p
+        p = p * t + c[j]
+    return p, dp
+
+
+@lru_cache(maxsize=1)
+def _taylor_table() -> np.ndarray:
+    """Taylor coefficients of Ai at the anchors 8 - 0.25 k, k = 0..64: column
+    k holds c_0..c_17, where (n+2)(n+1) c_{n+2} = x_k c_n + c_{n-1} from
+    y'' = x y.  The anchor at 8 starts from the recessive expansion and each
+    next one from the previous polynomial a step to its left, the direction
+    in which Ai dominates Bi, so rounding does not grow relative to Ai."""
+    ai, aip = (float(v[0]) for v in _asym_pair_vec(np.array([_ASYMPTOTIC_RADIUS])))
+    columns = []
+    for k in range(int(2 * _ASYMPTOTIC_RADIUS / _STEP) + 1):
+        x0 = _ASYMPTOTIC_RADIUS - _STEP * k
+        c = [ai, aip]
+        for n in range(_TERMS - 2):
+            c.append((x0 * c[n] + (c[n - 1] if n else 0.0)) / ((n + 2) * (n + 1)))
+        columns.append(c)
+        ai, aip = _horner_pair(c, -_STEP)
+    table = np.array(columns).T
+    table.flags.writeable = False
+    return table
+
+
 def airy_ai_pair(x):
     """Vectorized (Ai, Ai') over real arrays, used by the kernel builders.
 
@@ -69,7 +106,10 @@ def airy_ai_pair(x):
 
     m = np.abs(arr) < _ASYMPTOTIC_RADIUS
     if np.any(m):
-        ai[m], aip[m], _, _ = airy(arr[m])
+        # each point from its nearest anchor, |x - x_k| <= 0.125
+        xm = arr[m]
+        k = np.rint((_ASYMPTOTIC_RADIUS - xm) / _STEP).astype(np.intp)
+        ai[m], aip[m] = _horner_pair(_taylor_table()[:, k], xm - (_ASYMPTOTIC_RADIUS - _STEP * k))
 
     m = (arr >= _ASYMPTOTIC_RADIUS) & (arr <= 120.0)
     if np.any(m):
@@ -94,7 +134,8 @@ def airy_ai_pair(x):
 
 def normal_cdf(t):
     """Standard normal CDF of a scalar (a float) or an array."""
-    out = 0.5 * erfc(-np.asarray(t, dtype=float) / math.sqrt(2.0))
+    # math.erfc point by point: callers pass at most a few hundred points
+    out = 0.5 * np.asarray(_erfc(-np.asarray(t, dtype=float) / math.sqrt(2.0)), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -106,6 +147,9 @@ def gen_gauss_cdf(t, k: int):
     """
     if k < 1 or int(k) != k:
         raise ValueError(f"order k must be a positive integer, got {k}")
+    # the one scipy import of the package, made only when a GenGauss law is read
+    from scipy.special import gammaincc
+
     tv = np.asarray(t, dtype=float)
     # For t < 0 the tail mass is Gamma(1/(2k), t^(2k)) / (2k), and the
     # normalization is Gamma(1/(2k)) / k, so the ratio is a regularized

@@ -5,9 +5,11 @@ method: the deformation profile by a contour integral, the variational
 constant by adaptive quadrature inside the cut, the rank-one eigenvalue
 density through the exponential divided difference that the Metropolis
 chain never forms, and the top eigenvalue of the full tridiagonal model by
-LAPACK, where the direct sampler bisects a leading block in numpy.  Ai at
-complex arguments, which the library never evaluates through scipy, is
-here for the rotation identity.  The soft-edge law and the critical law at
+LAPACK, where the direct sampler bisects a leading block in numpy.  Ai on
+(-8, 8), which the library reads from a Taylor table, comes here from
+``scipy.special.airy``, and the normal CDF, which the library takes from
+``math.erfc``, from ``scipy.special.ndtr``; Ai at complex arguments is here
+for the rotation identity.  The soft-edge law and the critical law at
 alpha = 0 come from the closed forms of Ferrari and Spohn, determinants of
 the Airy Hankel operator, where the library takes the Airy kernel.  Two
 views of the phase structure that only the tests read, the detachment set
@@ -24,13 +26,13 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import airy
+from scipy.special import airy, ndtr
 
 from spectral_edge.equilibrium import EquilibriumData, NotOneCutError
 from spectral_edge.finitemodel import OrthoSystem
 from spectral_edge.potential import Potential, horner
 from spectral_edge.sampler import TIE_GAP
-from spectral_edge.specialfn import ENVELOPE_RADIUS, legendre_reference
+from spectral_edge.specialfn import ENVELOPE_RADIUS, airy_ai_pair, legendre_reference
 from spectral_edge.transition import _DETACH_TOL, _overlaps, _phi, _rising_runs, scan
 
 
@@ -43,6 +45,17 @@ def complex_ai(z) -> complex:
     -0.0 into +0.0 and moves no other argument, so the value is Ai(z).
     """
     return complex(airy(complex(z) + 0j)[0])
+
+
+def airy_pair_scipy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai') over a real array, from ``scipy.special.airy`` for |x| < 8
+    and from the library's asymptotic expansions elsewhere: the route the
+    library took before its Taylor table."""
+    x = np.asarray(x, dtype=float)
+    ai, aip = airy_ai_pair(x)
+    inner = np.abs(x) < 8.0
+    ai[inner], aip[inner] = airy(x[inner])[:2]
+    return ai, aip
 
 
 def c_alpha_contour(xi: float, alpha: float, radius: float = 30.0, m: int = 700) -> float:

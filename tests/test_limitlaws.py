@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spectral_edge import limitlaws
 from spectral_edge.limitlaws import (
     CDF_CEILING,
     CDF_FLOOR,
@@ -20,7 +21,7 @@ from spectral_edge.limitlaws import (
 from spectral_edge.specialfn import airy_ai_pair, gauss_legendre, normal_cdf
 from spectral_edge.transition import c_of_a, critical_a, maximizer_set
 
-from oracles import c_alpha_contour, f0_closed_form, f1_closed_form_alpha0
+from oracles import airy_pair_scipy, c_alpha_contour, f0_closed_form, f1_closed_form_alpha0
 
 OMEGA = cmath.exp(2j * math.pi / 3.0)
 
@@ -196,10 +197,13 @@ class TestDeformedLaw:
 
 
 # f0 and f1(T; alpha) at T = -6, -4, ..., 4 from the per-point Nystrom
-# solves and per-xi c_alpha routes these tables replaced
+# solves and per-xi c_alpha routes these tables replaced.  F0_PIN holds the
+# bits of the Airy Taylor table; with scipy's Airy values they differed by
+# at most 5e-16 (4e-19 at T = -6), each route as close as the other to a
+# 30-digit Nystrom determinant.
 PIN_T = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
-F0_PIN = (1.0622546742517583e-08, 0.0035445535955095863, 0.41322414250511241,
-          0.96937282835526117, 0.99988755369830928, 0.9999999504208783)
+F0_PIN = (1.0622546742099701e-08, 0.0035445535955092745, 0.4132241425051119,
+          0.9693728283552613, 0.9998875536983093, 0.9999999504208783)
 F1_PIN = {
     -1.5: (6.7930614879156568e-12, 2.3284739224077879e-07, 0.0017570057932852,
            0.092191906172023899, 0.46749548036929095, 0.84172259570457453),
@@ -227,6 +231,19 @@ class TestBatchedTables:
         for alpha, pin in F1_PIN.items():
             assert np.max(np.abs(f1(np.array(PIN_T), alpha) - pin)) < 5e-12
             assert max(abs(f1(T, alpha) - v) for T, v in zip(PIN_T, pin)) < 5e-12
+
+    def test_tables_match_the_scipy_airy_route(self, monkeypatch):
+        # the 41-point tables and the profile, with Ai on (-8, 8) from the
+        # Taylor table and from scipy.special.airy
+        ts, xi = np.linspace(-6.0, 4.0, 41), np.linspace(-8.0, 10.0, 41)
+
+        def tables():
+            return np.array([f0(ts), *(f1(ts, alpha) for alpha in (-1.0, 0.0, 1.0)),
+                             *(c_alpha(xi, alpha) for alpha in (-1.0, 0.0, 2.0))])
+
+        table_route = tables()
+        monkeypatch.setattr(limitlaws, "airy_ai_pair", airy_pair_scipy)
+        assert np.max(np.abs(table_route - tables())) < 1e-14
 
     def test_scalar_calls_return_float(self):
         assert type(f0(0.0)) is float and type(f1(0.0, 0.5)) is float

@@ -69,3 +69,19 @@ def test_gap_script_reports_raw_determinants(tmp_path, monkeypatch, capsys):
     outside = sum(not 0.0 <= v <= 1.0 for v in raw)
     assert outside > 0
     assert f"{outside} of {len(rows)} determinants outside [0, 1] clamped" in stdout
+
+
+def test_bench_pairs_smoke():
+    # the checkout against itself: one pair of law_query runs
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+                           str(ROOT), str(ROOT), "--workload", "law_query", "--seeds", "1",
+                           "--seconds", "0.1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "## law_query" in lines
+    assert sum(ln.split()[0] in ("setup_s", "job_s", "fail_frac") for ln in lines if ln) == 3
+    seed = next(ln for ln in lines if ln.startswith("seed 1: "))
+    assert seed.endswith("FAIL sets identical")
+    assert any(ln.startswith("pooled base: ") for ln in lines)
+    assert any(ln.startswith("pooled head: ") for ln in lines)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import airy
 
 from spectral_edge.specialfn import (
     AiryDomainError,
@@ -21,7 +20,7 @@ from spectral_edge import equilibrium, finitemodel, limitlaws, specialfn
 from spectral_edge.potential import GUE
 
 from conftest import simpson_adaptive
-from oracles import complex_ai
+from oracles import airy_pair_scipy, complex_ai, ndtr
 
 mp.mp.dps = 25
 
@@ -33,20 +32,21 @@ class TestAiry:
         # oracle: 3^(-2/3)/Gamma(2/3), summed independently of the implementation
         oracle = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
         assert abs(oracle - 0.3550280538878172) < 1e-15
-        assert abs(airy(0.0)[0] - oracle) < 1e-14
+        assert abs(airy_ai_pair(0.0)[0] - oracle) < 1e-14
 
     def test_prime_at_zero(self):
         oracle = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
         assert abs(oracle - (-0.2588194037928068)) < 1e-15
-        assert abs(airy(0.0)[1] - oracle) < 1e-14
+        assert abs(airy_ai_pair(0.0)[1] - oracle) < 1e-14
 
     def test_relative_accuracy_envelope(self):
         zs = np.linspace(-10.0, 10.0, 201)
-        for z in zs:
+        ai, aip = airy_ai_pair(zs)
+        for z, a, ap in zip(zs, ai, aip):
             ref = float(mp.airyai(float(z)))
             refp = float(mp.airyai(float(z), 1))
-            assert abs(airy(z)[0] - ref) <= 1e-10 * abs(ref)
-            assert abs(airy(z)[1] - refp) <= 1e-10 * abs(refp)
+            assert abs(a - ref) <= 1e-10 * abs(ref)
+            assert abs(ap - refp) <= 1e-10 * abs(refp)
 
     def test_rotation_identity_fixed_points(self):
         rng = np.random.default_rng(7)
@@ -82,20 +82,22 @@ class TestAiry:
         # reach 1e-8 over [-8, 8] (its h^2 truncation alone is ~2e-8 at the
         # endpoints), the extrapolated stencil can.
         h = 2e-3
+        ai = lambda x: airy_ai_pair(x)[0]
         for z in np.linspace(-8.0, 8.0, 100):
-            d1 = (airy(z + h)[0] - 2.0 * airy(z)[0] + airy(z - h)[0]) / (h * h)
-            d2 = (airy(z + h / 2)[0] - 2.0 * airy(z)[0] + airy(z - h / 2)[0]) / (h * h / 4.0)
-            assert abs((4.0 * d2 - d1) / 3.0 - z * airy(z)[0]) < 1e-8
+            d1 = (ai(z + h) - 2.0 * ai(z) + ai(z - h)) / (h * h)
+            d2 = (ai(z + h / 2) - 2.0 * ai(z) + ai(z - h / 2)) / (h * h / 4.0)
+            assert abs((4.0 * d2 - d1) / 3.0 - z * ai(z)) < 1e-8
 
     def test_prime_finite_difference(self):
         h = 1e-5
-        fd = (airy(h)[0] - airy(-h)[0]) / (2.0 * h)
-        assert abs(fd - airy(0.0)[1]) < 1e-6
+        fd = (airy_ai_pair(h)[0] - airy_ai_pair(-h)[0]) / (2.0 * h)
+        assert abs(fd - airy_ai_pair(0.0)[1]) < 1e-6
 
     def test_second_difference_at_one(self):
         h = 1e-4
-        second = (airy(1.0 + h)[0] - 2.0 * airy(1.0)[0] + airy(1.0 - h)[0]) / (h * h)
-        assert abs(second - airy(1.0)[0]) < 1e-5
+        ai = lambda x: airy_ai_pair(x)[0]
+        second = (ai(1.0 + h) - 2.0 * ai(1.0) + ai(1.0 - h)) / (h * h)
+        assert abs(second - ai(1.0)) < 1e-5
 
     def test_envelope_raises(self):
         with pytest.raises(AiryDomainError, match="below the accuracy envelope"):
@@ -104,23 +106,41 @@ class TestAiry:
     def test_positive_axis_extension(self):
         # no envelope binds on the positive real axis: Ai stays positive,
         # and the pair reads an exact zero beyond 120
-        assert airy(60.0)[0] > 0
+        assert airy_ai_pair(60.0)[0] > 0
         ai, _ = airy_ai_pair(np.array([130.0]))
         assert ai[0] == 0.0
 
     def test_pair_matches_scalar(self):
-        # the seams at +-8 (scipy inside, recessive expansion outside) and
-        # at 120 (exact zero beyond) are checked from both sides
-        xs = np.array([-12.0, -9.0, -8.0 - 1e-9, -8.0, -8.0 + 1e-9, -6.1, -3.0, 0.0, 2.2,
-                       5.1, 7.9, 8.0 - 1e-9, 8.0, 8.0 + 1e-9, 9.5, 40.0, 120.0])
+        # the seams at +-8 (Taylor table inside, recessive expansion outside)
+        # and at 120 (exact zero beyond) are checked from both sides, and the
+        # table at every anchor 8 - k/4 and every midpoint between two anchors
+        anchors = 8.0 - 0.25 * np.arange(1, 64)
+        midpoints = 8.0 - 0.25 * (np.arange(64) + 0.5)
+        xs = np.concatenate([
+            [-12.0, -9.0, -8.0 - 1e-9, -8.0, -8.0 + 1e-9, -6.1, -3.0, 0.0, 2.2,
+             5.1, 7.9, 8.0 - 1e-9, 8.0, 8.0 + 1e-9, 9.5, 40.0, 120.0],
+            anchors, midpoints])
         ai, aip = airy_ai_pair(xs)
-        for i, x in enumerate(xs):
+        scipy_ai, scipy_aip = airy_pair_scipy(xs)
+        for x, a, ap, sa, sap in zip(xs, ai, aip, scipy_ai, scipy_aip):
             ref = float(mp.airyai(float(x)))
             refp = float(mp.airyai(float(x), 1))
-            assert abs(ai[i] - ref) <= 1e-12 * max(1.0, abs(ref))
-            assert abs(aip[i] - refp) <= 1e-12 * max(1.0, abs(refp))
-            assert abs(ai[i] - airy(x)[0]) <= 1e-12 * max(1.0, abs(ai[i]))
-            assert abs(aip[i] - airy(x)[1]) <= 1e-12 * max(1.0, abs(aip[i]))
+            assert abs(a - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(ap - refp) <= 1e-12 * max(1.0, abs(refp))
+            assert abs(a - sa) <= 1e-12 * max(1.0, abs(a))
+            assert abs(ap - sap) <= 1e-12 * max(1.0, abs(ap))
+            if abs(x) < 8.0:
+                assert abs(a - ref) <= 1e-15, x
+                assert abs(ap - refp) <= 2e-15, x
+            if 0.0 < x < 8.0:
+                assert abs(a - ref) <= 5e-15 * ref, x
+                assert abs(ap - refp) <= 5e-15 * abs(refp), x
+
+    def test_table_built_once(self):
+        table = specialfn._taylor_table()
+        airy_ai_pair(np.linspace(-7.0, 7.0, 9))
+        assert specialfn._taylor_table() is table
+        assert table.shape == (18, 65) and not table.flags.writeable
 
 
 class TestNormalCdf:
@@ -145,6 +165,13 @@ class TestNormalCdf:
         ts = np.linspace(-8.0, 8.0, 101)
         vals = [normal_cdf(t) for t in ts]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_matches_ndtr(self):
+        # in the far left tail both lose ~2 t^2 ulp to the rounding of t / sqrt(2)
+        ts = np.linspace(-30.0, 9.0, 391)
+        vals, ref = normal_cdf(ts), ndtr(ts)
+        assert np.max(np.abs(vals - ref)) <= 2.3e-16
+        assert np.all(np.abs(vals - ref) <= 3e-13 * ref)
 
 
 class TestGenGaussCdf:
